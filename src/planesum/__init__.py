@@ -3,6 +3,7 @@
 from .conjecture import (
     Case,
     ConjectureReport,
+    Pair,
     StructureReport,
     Verdict,
     check_arc_structure,
@@ -61,10 +62,12 @@ from .search import (
     separated_pair,
 )
 from .sumset import (
+    SumDecomposition,
     SumWitness,
     canonical_translate,
     is_translate_of,
     minkowski_sum,
+    sum_decomposition,
     unique_representation,
 )
 from .triangulation import (
@@ -83,10 +86,10 @@ __all__ = [
     "ArcDecomposition", "CapExceeded", "Case", "CollinearInput",
     "ConjectureReport", "DegeneratePolygon", "Direction",
     "DirectionNotGeneric", "HullDecomposition", "NormalCone", "NotCollinear",
-    "ParseError", "PlanesumError", "Point", "PointNotInSet", "PointSet",
+    "Pair", "ParseError", "PlanesumError", "Point", "PointNotInSet", "PointSet",
     "PreconditionViolated", "ResumeMismatch", "SearchConfig", "SearchRecord",
-    "SearchSummary", "StructureReport", "SumWitness", "Triangle",
-    "Triangulation", "Verdict", "arc_decomposition",
+    "SearchSummary", "StructureReport", "SumDecomposition", "SumWitness",
+    "Triangle", "Triangulation", "Verdict", "arc_decomposition",
     "canonical_translate", "check_arc_structure",
     "check_boundary_superadditivity", "check_extremal_classification",
     "check_interior_bounds", "check_pair", "check_sum_boundary",
@@ -97,6 +100,6 @@ __all__ = [
     "minkowski_sum", "normal_cone", "orientation", "parse_point_set",
     "random_point_set", "random_saturated_set", "run_search",
     "save_point_set", "separated_pair", "serialize_point_set",
-    "sqrt_triple_compare", "support_set", "tr_euler", "triangulate_explicit",
-    "twice_hull_area", "unique_representation",
+    "sqrt_triple_compare", "sum_decomposition", "support_set", "tr_euler",
+    "triangulate_explicit", "twice_hull_area", "unique_representation",
 ]

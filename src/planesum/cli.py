@@ -34,20 +34,13 @@ from .search import (
     CHECK_NAMES,
     FILTER_NAMES,
     SearchConfig,
+    _fmt_bool,
+    _fmt_opt,
     run_search,
     serialize_set_id,
+    summarize_lines,
 )
 from .triangulation import tr_euler, triangulate_explicit
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
-def _fmt_opt(v) -> str:
-    if v is None:
-        return "none"
-    return "holds" if v else "fails"
 
 
 def _print_report(r: ConjectureReport) -> None:
@@ -146,26 +139,14 @@ def _cmd_family(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
-    verdicts = {"StrictHolds": 0, "Equality": 0, "Fails": 0}
-    cases: dict = {}
-    check_fail = 0
-    offenders = []
-    for line in lines:
-        kv = dict(tok.split("=", 1) for tok in line.split())
-        verdicts[kv["main"]] += 1
-        cases[kv["case"]] = cases.get(kv["case"], 0) + 1
-        bad = kv["main"] == "Fails" or any(kv.get(k) == "false" for k in CHECK_NAMES)
-        if any(kv.get(k) == "false" for k in CHECK_NAMES):
-            check_fail += 1
-        if bad:
-            offenders.append(line)
+    tally = summarize_lines(lines)
     print(f"pairs={len(lines)}")
-    print(" ".join(f"{k}={v}" for k, v in sorted(verdicts.items())))
-    print(" ".join(f"{k}={v}" for k, v in sorted(cases.items())))
-    print(f"check_failures={check_fail}")
-    for line in offenders:
+    print(" ".join(f"{k}={v}" for k, v in sorted(tally.verdicts.items())))
+    print(" ".join(f"{k}={v}" for k, v in sorted(tally.cases.items())))
+    print(f"check_failures={len(tally.check_failures)}")
+    for line in tally.flagged:
         print(f"ATTENTION {line}")
-    return 1 if verdicts["Fails"] or check_fail else 0
+    return 1 if tally.flagged else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,6 +34,11 @@ bug or a genuine counterexample and either way demands attention:
   fails.
 * ``check_extremal_classification``: the boundary form fails only for the
   pairs {|A| = 3 and B a translate of A + A}, up to swapping roles.
+
+Every checker takes ``(a, b)`` plus optional cached decompositions of A, B
+and A + B, and reads them through one ``Pair``, which builds whichever is
+missing: the summands with ``classify_points``, the sum with the merged-hull
+kernel ``sum_decomposition``.
 """
 
 from __future__ import annotations
@@ -49,16 +54,13 @@ from .geometry import (
     HullDecomposition,
     Point,
     PointSet,
-    arc_decomposition,
+    _on_segment,
     classify_points,
-    cones_intersect,
     convex_hull,
     generic_direction,
     is_ap_same_difference,
-    orientation,
-    support_set,
 )
-from .sumset import is_translate_of, minkowski_sum, unique_representation
+from .sumset import SumDecomposition, is_translate_of, minkowski_sum, sum_decomposition
 from .triangulation import lattice_points_in_hull, tr_euler
 
 
@@ -91,6 +93,34 @@ def sqrt_triple_compare(t_ab: int, t_a: int, t_b: int) -> Verdict:
     return Verdict.FAILS
 
 
+SumLike = Union[HullDecomposition, SumDecomposition]
+
+
+class Pair:
+    """One pair (A, B) with the decompositions of A, B and A + B.
+
+    Decompositions passed in are used as they are; missing ones are built
+    here, once.
+    """
+
+    __slots__ = ("a", "b", "da", "db", "dab")
+
+    def __init__(self, a: PointSet, b: PointSet,
+                 da: Optional[HullDecomposition] = None,
+                 db: Optional[HullDecomposition] = None,
+                 dab: Optional[SumLike] = None):
+        self.a = a
+        self.b = b
+        self.da = classify_points(a) if da is None else da
+        self.db = classify_points(b) if db is None else db
+        self.dab = sum_decomposition(self.da, self.db) if dab is None else dab
+
+    @property
+    def unique(self) -> bool:
+        """Whether every point of A + B has exactly one representation."""
+        return len(self.dab.points) == len(self.a) * len(self.b)
+
+
 @dataclass(frozen=True)
 class ConjectureReport:
     """All counts and verdicts for one pair (A, B)."""
@@ -115,11 +145,10 @@ class ConjectureReport:
 def check_pair(a: PointSet, b: PointSet,
                decomp_a: Optional[HullDecomposition] = None,
                decomp_b: Optional[HullDecomposition] = None,
-               decomp_ab: Optional[HullDecomposition] = None) -> ConjectureReport:
+               decomp_ab: Optional[SumLike] = None) -> ConjectureReport:
     """Full report for one pair. Decompositions may be supplied when cached."""
-    da = decomp_a if decomp_a is not None else classify_points(a)
-    db = decomp_b if decomp_b is not None else classify_points(b)
-    dab = decomp_ab if decomp_ab is not None else classify_points(minkowski_sum(a, b))
+    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    da, db, dab = p.da, p.db, p.dab
 
     tr_a, tr_b, tr_ab = tr_euler(da), tr_euler(db), tr_euler(dab)
     main = sqrt_triple_compare(tr_ab, tr_a, tr_b)
@@ -131,8 +160,7 @@ def check_pair(a: PointSet, b: PointSet,
     if boundary_only:
         boundary_form = 2 * dab.i >= da.b + db.b - 6
 
-    unique = len(dab.points) == len(a) * len(b)
-    if unique:
+    if p.unique:
         case = Case.UNIQUE_REPRESENTATION
     elif da.i == 1 and db.i == 1:
         case = Case.ONE_INTERIOR_EACH
@@ -164,23 +192,36 @@ def _is_extremal_pair(a: PointSet, b: PointSet) -> bool:
 def check_sum_boundary(a: PointSet, b: PointSet,
                        decomp_a: Optional[HullDecomposition] = None,
                        decomp_b: Optional[HullDecomposition] = None,
-                       decomp_ab: Optional[HullDecomposition] = None) -> bool:
+                       decomp_ab: Optional[SumLike] = None) -> bool:
     """Boundary membership of a + b must match normal-cone intersection.
 
-    Points with no cone (interior points) must produce interior sums.
+    Points with no cone (interior points) must produce interior sums. The
+    cones are the summands' integer cone rows. Two closed arcs of less than
+    a half turn meet exactly when one contains the other's first ray, so
+    two containment tests give the answer of ``cones_intersect``.
     """
-    da = decomp_a if decomp_a is not None else classify_points(a)
-    db = decomp_b if decomp_b is not None else classify_points(b)
-    dab = decomp_ab if decomp_ab is not None else classify_points(minkowski_sum(a, b))
-    sum_boundary = dab.boundary
-    cones_a = da.cones
-    cones_b = db.cones
-    for p in a:
-        ca = cones_a.get(p)
-        for q in b:
-            cb = cones_b.get(q)
-            expected = ca is not None and cb is not None and cones_intersect(ca, cb)
-            if ((p + q) in sum_boundary) != expected:
+    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    sum_boundary = p.dab.boundary
+    rows_b = p.db.cone_rows
+    for px, py, ca in p.da.cone_rows:
+        if ca is None:
+            if any((px + qx, py + qy) in sum_boundary for qx, qy, _ in rows_b):
+                return False
+            continue
+        alx, aly, ahx, ahy = ca
+        a_ray = alx == ahx and aly == ahy
+        for qx, qy, cb in rows_b:
+            meet = False
+            if cb is not None:
+                blx, bly, bhx, bhy = cb
+                # B's first ray in A's cone; a ray cone holds only itself
+                meet = ((blx == alx and bly == aly) if a_ray else
+                        alx * bly - aly * blx >= 0 and blx * ahy - bly * ahx >= 0)
+                # A's first ray in B's cone, unless B's cone is one ray, when
+                # that needs al == bl and the test above already found it
+                if not meet and (blx != bhx or bly != bhy):
+                    meet = blx * aly - bly * alx >= 0 and alx * bhy - aly * bhx >= 0
+            if ((px + qx, py + qy) in sum_boundary) != meet:
                 return False
     return True
 
@@ -201,7 +242,7 @@ def check_boundary_superadditivity(
         a: PointSet, b: PointSet,
         decomp_a: Optional[HullDecomposition] = None,
         decomp_b: Optional[HullDecomposition] = None,
-        decomp_ab: Optional[HullDecomposition] = None) -> BoundaryCountResult:
+        decomp_ab: Optional[SumLike] = None) -> BoundaryCountResult:
     """b_{A+B} >= b_A + b_B, equality iff the progression condition.
 
     The progression condition quantifies over the outward edge normals of
@@ -209,15 +250,14 @@ def check_boundary_superadditivity(
     more than one boundary point): wherever both support sets have at least
     two points they must be same-difference progressions.
     """
-    da = decomp_a if decomp_a is not None else classify_points(a)
-    db = decomp_b if decomp_b is not None else classify_points(b)
-    dab = decomp_ab if decomp_ab is not None else classify_points(minkowski_sum(a, b))
+    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    da, db, dab = p.da, p.db, p.dab
     holds = dab.b >= da.b + db.b
     equality = dab.b == da.b + db.b
     ap = True
     for u in dab.edge_normals:
-        su_a = support_set(a, u)
-        su_b = support_set(b, u)
+        su_a = da.support(u)
+        su_b = db.support(u)
         if len(su_a) >= 2 and len(su_b) >= 2:
             # support sets are collinear by construction; the test cannot raise
             if not is_ap_same_difference(su_a, su_b):
@@ -229,19 +269,16 @@ def check_boundary_superadditivity(
 def check_unique_rep_bound(a: PointSet, b: PointSet,
                            decomp_a: Optional[HullDecomposition] = None,
                            decomp_b: Optional[HullDecomposition] = None,
-                           decomp_ab: Optional[HullDecomposition] = None) -> bool:
+                           decomp_ab: Optional[SumLike] = None) -> bool:
     """With unique representation: tr(A+B) >= |B| tr(A) + tr(B).
 
     The roles are assigned so the larger triangulation count sits in the
     multiplied position. Also requires the main verdict not to fail.
     """
-    unique, _ = unique_representation(a, b)
-    if not unique:
+    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    if not p.unique:
         raise PreconditionViolated("pair does not have unique representation")
-    da = decomp_a if decomp_a is not None else classify_points(a)
-    db = decomp_b if decomp_b is not None else classify_points(b)
-    dab = decomp_ab if decomp_ab is not None else classify_points(minkowski_sum(a, b))
-    tr_a, tr_b, tr_ab = tr_euler(da), tr_euler(db), tr_euler(dab)
+    tr_a, tr_b, tr_ab = tr_euler(p.da), tr_euler(p.db), tr_euler(p.dab)
     if tr_a < tr_b:
         tr_a, tr_b = tr_b, tr_a
         big_other = len(a)
@@ -255,17 +292,16 @@ def check_unique_rep_bound(a: PointSet, b: PointSet,
 def check_interior_bounds(a: PointSet, b: PointSet,
                           decomp_a: Optional[HullDecomposition] = None,
                           decomp_b: Optional[HullDecomposition] = None,
-                          decomp_ab: Optional[HullDecomposition] = None) -> bool:
+                          decomp_ab: Optional[SumLike] = None) -> bool:
     """With i_A, i_B >= 1: i_{A+B} >= i_A + |B| - 1 and symmetrically.
 
     When both interiors are singletons the count form
     2 i_{A+B} + b_{A+B} >= 4 i_A + 4 i_B + 2 b_A + 2 b_B - 6 is verified too.
     """
-    da = decomp_a if decomp_a is not None else classify_points(a)
-    db = decomp_b if decomp_b is not None else classify_points(b)
+    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    da, db, dab = p.da, p.db, p.dab
     if da.i < 1 or db.i < 1:
         raise PreconditionViolated("both sets need at least one interior point")
-    dab = decomp_ab if decomp_ab is not None else classify_points(minkowski_sum(a, b))
     ok = dab.i >= da.i + len(b) - 1 and dab.i >= db.i + len(a) - 1
     if ok and da.i == 1 and db.i == 1:
         ok = 2 * dab.i + dab.b >= 4 * da.i + 4 * db.i + 2 * da.b + 2 * db.b - 6
@@ -336,17 +372,10 @@ class StructureReport:
         return True
 
 
-def _on_segment(p: Point, a: Point, b: Point) -> bool:
-    return orientation(a, b, p) == 0 and (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
-
-
 def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
                         decomp_a: Optional[HullDecomposition] = None,
                         decomp_b: Optional[HullDecomposition] = None,
-                        decomp_ab: Optional[HullDecomposition] = None,
+                        decomp_ab: Optional[SumLike] = None,
                         ) -> StructureReport:
     """Verify the arc bookkeeping of a boundary-only pair under direction v.
 
@@ -356,18 +385,18 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
     some configuration among (A,B,v), (A,B,-v), (B,A,v), (B,A,-v) exhibits
     the forced failure shape (first match reported).
     """
-    da = decomp_a if decomp_a is not None else classify_points(a)
-    db = decomp_b if decomp_b is not None else classify_points(b)
+    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    da, db, dab = p.da, p.db, p.dab
     if da.i != 0 or db.i != 0:
         raise PreconditionViolated("arc structure check needs boundary-only sets")
     if v is None:
-        v = generic_direction(a, b)
-    dab = decomp_ab if decomp_ab is not None else classify_points(minkowski_sum(a, b))
+        v = generic_direction(da, db)
     i_ab = dab.i
 
+    neg_v = -v
     arcs = {
-        (False, False): (arc_decomposition(da, v), arc_decomposition(db, v)),
-        (False, True): (arc_decomposition(da, -v), arc_decomposition(db, -v)),
+        (False, False): (da.arc(v), db.arc(v)),
+        (False, True): (da.arc(neg_v), db.arc(neg_v)),
     }
     arcs[(True, False)] = (arcs[(False, False)][1], arcs[(False, False)][0])
     arcs[(True, True)] = (arcs[(False, True)][1], arcs[(False, True)][0])
@@ -431,13 +460,12 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
 def check_extremal_classification(a: PointSet, b: PointSet,
                                   decomp_a: Optional[HullDecomposition] = None,
                                   decomp_b: Optional[HullDecomposition] = None,
-                                  decomp_ab: Optional[HullDecomposition] = None) -> bool:
+                                  decomp_ab: Optional[SumLike] = None) -> bool:
     """Boundary-form failures happen only for the triangle-plus-double family."""
-    da = decomp_a if decomp_a is not None else classify_points(a)
-    db = decomp_b if decomp_b is not None else classify_points(b)
+    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    da, db, dab = p.da, p.db, p.dab
     if da.i != 0 or db.i != 0:
         raise PreconditionViolated("classification applies to boundary-only sets")
-    dab = decomp_ab if decomp_ab is not None else classify_points(minkowski_sum(a, b))
     if 2 * dab.i >= da.b + db.b - 6:
         return True
     return _is_extremal_pair(a, b)

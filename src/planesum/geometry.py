@@ -20,6 +20,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,8 +148,9 @@ def orientation(p: Coords, q: Coords, r: Coords) -> int:
 def convex_hull(points: Union[PointSet, Iterable[Coords]]) -> tuple:
     """Hull vertices in CCW order, no three consecutive collinear.
 
-    A single point hulls to itself; a collinear set hulls to its two
-    lexicographic extremes. Monotone chain over the sorted points.
+    The cycle starts at the lexicographically smallest point. A single point
+    hulls to itself; a collinear set hulls to its two lexicographic extremes.
+    Monotone chain over the sorted points.
     """
     if isinstance(points, PointSet):
         pts = list(points.points)
@@ -206,7 +208,8 @@ class HullDecomposition:
 
     ``boundary`` holds every point lying on the hull's edge cycle (vertices
     included); ``interior`` holds the points strictly inside. ``b`` and ``i``
-    are the respective counts.
+    are the respective counts. ``hull_vertices`` is the cycle as
+    ``convex_hull`` gives it, CCW from the lexicographically smallest point.
     """
 
     points: PointSet
@@ -247,21 +250,96 @@ class HullDecomposition:
             if p in out:
                 continue
             for k, (a, b) in enumerate(self.hull_edges):
-                if orientation(a, b, p) == 0 and _within_box(a, b, p):
+                if _on_segment(p, a, b):
                     out[p] = NormalCone(at=p, lo=normals[k], hi=normals[k])
                     break
         return out
+
+    # Per-set tables for the sum kernel and the checks. They are built on
+    # first use, so a summand that never reaches a sum costs nothing extra,
+    # and they live as long as the decomposition a sweep caches per set.
+
+    @cached_property
+    def edge_table(self) -> tuple:
+        """(half, sx, sy, g, normal) per CCW hull edge, from the first vertex.
+
+        The edge vector is g times the primitive step (sx, sy). ``half`` is
+        0 for edge angles in (-pi/2, pi/2] and 1 for (pi/2, 3pi/2]. The
+        cycle starts at the lexicographically smallest vertex, so the edges
+        run through that angle range in increasing order, which is the order
+        in which ``sum_decomposition`` merges two hulls.
+        """
+        rows = []
+        for (a, b), u in zip(self.hull_edges, self.edge_normals):
+            dx, dy = b.x - a.x, b.y - a.y
+            g = math.gcd(dx, dy)
+            half = 0 if dx > 0 or (dx == 0 and dy > 0) else 1
+            rows.append((half, dx // g, dy // g, g, u))
+        return tuple(rows)
+
+    @cached_property
+    def edge_lines(self) -> frozenset:
+        """Hull edge directions up to sign, each as ``_line_key`` gives it."""
+        return frozenset(_line_key(sx, sy) for _, sx, sy, _, _ in self.edge_table)
+
+    @cached_property
+    def cone_rows(self) -> tuple:
+        """(x, y, cone) per point in set order; cone is (lo.dx, lo.dy, hi.dx,
+        hi.dy) for a boundary point and None for an interior one."""
+        cones = self.cones
+        rows = []
+        for p in self.points:
+            c = cones.get(p)
+            rows.append((p.x, p.y, None if c is None
+                         else (c.lo.dx, c.lo.dy, c.hi.dx, c.hi.dy)))
+        return tuple(rows)
+
+    @cached_property
+    def _supports(self) -> dict:
+        return {}
+
+    @cached_property
+    def _arcs(self) -> dict:
+        return {}
+
+    # the memos are keyed by (dx, dy): tuples hash in C, Directions do not
+
+    def support(self, u: Direction) -> PointSet:
+        """``support_set(self.points, u)``, memoised per direction."""
+        key = (u.dx, u.dy)
+        s = self._supports.get(key)
+        if s is None:
+            s = self._supports[key] = support_set(self.points, u)
+        return s
+
+    def arc(self, v: Direction) -> "ArcDecomposition":
+        """``arc_decomposition(self, v)``, memoised per direction."""
+        key = (v.dx, v.dy)
+        arc = self._arcs.get(key)
+        if arc is None:
+            arc = self._arcs[key] = arc_decomposition(self, v)
+        return arc
 
 
 def _outward_normal(a: Point, b: Point) -> Direction:
     return Direction.of(b.y - a.y, -(b.x - a.x))
 
 
-def _within_box(a: Coords, b: Coords, p: Coords) -> bool:
-    return (
+def _on_segment(p: Coords, a: Coords, b: Coords) -> bool:
+    """Whether p lies on the closed segment [a, b]."""
+    return orientation(a, b, p) == 0 and (
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
     )
+
+
+def _line_key(dx: int, dy: int) -> tuple:
+    """Primitive form of the line direction of a nonzero vector, sign fixed
+    so that dx > 0, or dx == 0 and dy == 1: the form of the candidates of
+    ``generic_direction``."""
+    g = math.gcd(dx, dy)
+    dx, dy = dx // g, dy // g
+    return (dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy)
 
 
 def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposition:
@@ -310,6 +388,12 @@ def normal_cone(decomp: HullDecomposition, p: Coords) -> Optional[NormalCone]:
 
 
 def _candidate_directions() -> Iterator[Direction]:
+    """The candidates of ``generic_direction`` in order."""
+    yield from _FIRST_CANDIDATES
+    yield from itertools.islice(_enumerate_candidates(), len(_FIRST_CANDIDATES), None)
+
+
+def _enumerate_candidates() -> Iterator[Direction]:
     # One representative per +-pair: dx > 0, or dx == 0 with dy == 1. Ordered
     # by max(|dx|, |dy|), then dx, then |dy| with the positive dy first.
     yield Direction(0, 1)
@@ -329,23 +413,33 @@ def _candidate_directions() -> Iterator[Direction]:
         n += 1
 
 
-def generic_direction(a: Union[PointSet, Iterable[Coords]],
-                      b: Union[PointSet, Iterable[Coords]]) -> Direction:
-    """Smallest enumerated direction parallel to no hull edge of [a] or [b]."""
-    edges = []
-    for s in (a, b):
-        hull = convex_hull(s)
-        m = len(hull)
-        if m == 1:
-            continue
-        if m == 2:
-            edges.append(Direction.of(hull[1].x - hull[0].x, hull[1].y - hull[0].y))
-            continue
-        for k in range(m):
-            p, q = hull[k], hull[(k + 1) % m]
-            edges.append(Direction.of(q.x - p.x, q.y - p.y))
+# built once: all but pairs with many distinct edge directions stop in here
+_FIRST_CANDIDATES = tuple(itertools.islice(_enumerate_candidates(), 32))
+
+
+def _hull_lines(s: Union[PointSet, HullDecomposition, Iterable[Coords]]) -> frozenset:
+    if isinstance(s, HullDecomposition):
+        return s.edge_lines
+    hull = convex_hull(s)
+    m = len(hull)
+    # a two-point hull is one segment, not a cycle of two edges
+    return frozenset(_line_key(hull[(k + 1) % m].x - hull[k].x,
+                               hull[(k + 1) % m].y - hull[k].y)
+                     for k in range(m if m > 2 else m - 1))
+
+
+def generic_direction(a: Union[PointSet, HullDecomposition, Iterable[Coords]],
+                      b: Union[PointSet, HullDecomposition, Iterable[Coords]]) -> Direction:
+    """Smallest enumerated direction parallel to no hull edge of [a] or [b].
+
+    Decompositions contribute their cached hull edges; other inputs are
+    hulled here.
+    """
+    lines_a = _hull_lines(a)
+    lines_b = _hull_lines(b)
     for cand in _candidate_directions():
-        if all(not cand.parallel_to(e) for e in edges):
+        key = (cand.dx, cand.dy)
+        if key not in lines_a and key not in lines_b:
             return cand
     raise AssertionError("unreachable: finitely many edges")
 
@@ -429,11 +523,8 @@ def is_ap_same_difference(c: Union[PointSet, Iterable[Coords]],
         return True
 
     def common_difference(pts):
-        step = pts[1] - pts[0]
-        for k in range(2, len(pts)):
-            if pts[k] - pts[k - 1] != step:
-                return None
-        return step
+        steps = {(q.x - p.x, q.y - p.y) for p, q in zip(pts, pts[1:])}
+        return steps.pop() if len(steps) == 1 else None
 
     dc = common_difference(cs.points)
     dd = common_difference(ds.points)

@@ -27,6 +27,7 @@ import itertools
 import json
 import os
 import random
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -34,6 +35,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conjecture import (
     ConjectureReport,
+    Pair,
     check_arc_structure,
     check_boundary_superadditivity,
     check_extremal_classification,
@@ -42,16 +44,16 @@ from .conjecture import (
     check_sum_boundary,
     check_unique_rep_bound,
 )
-from .errors import CapExceeded, ResumeMismatch
+from .errors import CapExceeded, ParseError, ResumeMismatch
 from .geometry import (
     HullDecomposition,
     Point,
     PointSet,
+    _collinear,
     classify_points,
     convex_hull,
-    orientation,
 )
-from .sumset import canonical_translate, minkowski_sum
+from .sumset import canonical_translate
 from .triangulation import lattice_points_in_hull
 
 GRID_CELL_CAP = 25
@@ -78,13 +80,6 @@ _DIHEDRAL = (
     lambda x, y: (y, -x),
     lambda x, y: (-y, -x),
 )
-
-
-def _collinear_points(pts: Sequence[Point]) -> bool:
-    if len(pts) <= 2:
-        return True
-    p0, p1 = pts[0], pts[1]
-    return all(orientation(p0, p1, p) == 0 for p in pts[2:])
 
 
 def _canonical(points: Iterable[Point], symmetry: str) -> PointSet:
@@ -124,7 +119,7 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
     seen = set()
     for size in range(min_pts, min(max_pts, len(grid)) + 1):
         for combo in itertools.combinations(grid, size):
-            if _collinear_points(combo):
+            if _collinear(combo):
                 continue
             canon = _canonical(combo, symmetry)
             if canon in seen:
@@ -133,16 +128,25 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
             yield canon
 
 
+def _check_grid_has_area(grid_w: int, grid_h: int) -> None:
+    # on a one-row or one-column grid every subset is collinear, so a random
+    # draw would never end and a sweep would have nothing to visit
+    if grid_w < 2 or grid_h < 2:
+        raise ValueError(f"{grid_w}x{grid_h} grid has no non-collinear subsets; "
+                         "both dimensions must be at least 2")
+
+
 def random_point_set(rng: random.Random, grid_w: int, grid_h: int,
                      min_pts: int, max_pts: int) -> PointSet:
     """Uniform random non-collinear grid subset (size uniform in range)."""
     if min_pts < 3:
         raise ValueError("min_pts must be at least 3")
+    _check_grid_has_area(grid_w, grid_h)
     grid = [Point(x, y) for x in range(grid_w) for y in range(grid_h)]
     while True:
         k = rng.randint(min_pts, min(max_pts, len(grid)))
         pts = rng.sample(grid, k)
-        if not _collinear_points(pts):
+        if not _collinear(pts):
             return PointSet(pts)
 
 
@@ -204,6 +208,7 @@ class SearchConfig:
     def validate(self) -> None:
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        _check_grid_has_area(self.grid_w, self.grid_h)
         if self.mode == "exhaustive" and self.grid_w * self.grid_h > GRID_CELL_CAP:
             raise CapExceeded(
                 f"exhaustive sweep over {self.grid_w}x{self.grid_h} exceeds "
@@ -326,21 +331,18 @@ def _passes_set_filters(cfg: SearchConfig, da: HullDecomposition,
     return True
 
 
-def _passes_sum_filters(cfg: SearchConfig, a: PointSet, b: PointSet,
-                        dab: HullDecomposition) -> bool:
+def _passes_sum_filters(cfg: SearchConfig, pair: Pair) -> bool:
     for f in cfg.filters:
         if f == "unique-rep":
-            if len(dab.points) != len(a) * len(b):
+            if not pair.unique:
                 return False
     return True
 
 
-def _evaluate_checks(cfg: SearchConfig, a: PointSet, b: PointSet,
-                     da: HullDecomposition, db: HullDecomposition,
-                     dab: HullDecomposition) -> Dict[str, Optional[bool]]:
+def _evaluate_checks(cfg: SearchConfig, pair: Pair) -> Dict[str, Optional[bool]]:
     out: Dict[str, Optional[bool]] = {}
+    a, b, da, db, dab = pair.a, pair.b, pair.da, pair.db, pair.dab
     boundary_only = da.i == 0 and db.i == 0
-    unique = len(dab.points) == len(a) * len(b)
     for name in cfg.checks:
         if name == "freiman":
             out[name] = len(dab.points) >= len(a) + len(b) - 1
@@ -349,7 +351,7 @@ def _evaluate_checks(cfg: SearchConfig, a: PointSet, b: PointSet,
         elif name == "boundary_counts":
             out[name] = check_boundary_superadditivity(a, b, da, db, dab).ok
         elif name == "unique_rep":
-            out[name] = check_unique_rep_bound(a, b, da, db, dab) if unique else None
+            out[name] = check_unique_rep_bound(a, b, da, db, dab) if pair.unique else None
         elif name == "interior":
             applies = da.i >= 1 and db.i >= 1
             out[name] = check_interior_bounds(a, b, da, db, dab) if applies else None
@@ -451,10 +453,10 @@ def run_shard(cfg_kwargs: dict, shard: int) -> int:
             da = decomp(a)
             db = decomp(b)
             if _passes_set_filters(cfg, da, db):
-                dab = classify_points(minkowski_sum(a, b))
-                if _passes_sum_filters(cfg, a, b, dab):
-                    report = check_pair(a, b, da, db, dab)
-                    checks = _evaluate_checks(cfg, a, b, da, db, dab)
+                pair = Pair(a, b, da, db)
+                if _passes_sum_filters(cfg, pair):
+                    report = check_pair(a, b, da, db, pair.dab)
+                    checks = _evaluate_checks(cfg, pair)
                     rec = SearchRecord(a_id=a_id, b_id=b_id, report=report,
                                        checks=checks,
                                        walltime=time.perf_counter() - t0)
@@ -490,19 +492,54 @@ class SearchSummary:
         return not self.fails and not self.check_failures
 
 
-def _summarize_lines(lines: Sequence[str]) -> Tuple[Dict[str, int], List[str], List[str]]:
-    verdicts = {"StrictHolds": 0, "Equality": 0, "Fails": 0}
-    fails: List[str] = []
-    check_failures: List[str] = []
-    check_keys = set(CHECK_NAMES)
-    for line in lines:
-        kv = dict(tok.split("=", 1) for tok in line.split())
-        verdicts[kv["main"]] += 1
-        if kv["main"] == "Fails":
-            fails.append(line)
-        if any(kv.get(k) == "false" for k in check_keys):
-            check_failures.append(line)
-    return verdicts, fails, check_failures
+@dataclass
+class ReportTally:
+    """What a list of record lines adds up to."""
+
+    verdicts: Dict[str, int]
+    cases: Dict[str, int]
+    fails: List[str]  # main=Fails
+    check_failures: List[str]  # some named check false
+    flagged: List[str]  # either of the two, each line once, in order
+
+
+def _token_column(line: str, k: int) -> int:
+    """1-based column of the k-th whitespace-separated token of a line."""
+    return [m.start() for m in re.finditer(r"\S+", line)][k] + 1
+
+
+def summarize_lines(lines: Sequence[str]) -> ReportTally:
+    """Tally record lines; ParseError (1-based line and column) on a line that
+    has a token without ``=``, lacks ``main`` or ``case``, or names an
+    unknown verdict."""
+    tally = ReportTally(verdicts={"StrictHolds": 0, "Equality": 0, "Fails": 0},
+                        cases={}, fails=[], check_failures=[], flagged=[])
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        try:
+            kv = dict(tok.split("=", 1) for tok in tokens)
+        except ValueError:
+            k = next(k for k, tok in enumerate(tokens) if "=" not in tok)
+            raise ParseError(f"token without '=': {tokens[k]!r}", lineno,
+                             _token_column(line, k)) from None
+        for key in ("main", "case"):
+            if key not in kv:
+                raise ParseError(f"record has no {key}=", lineno, 1)
+        main = kv["main"]
+        if main not in tally.verdicts:
+            k = [tok.split("=", 1)[0] for tok in tokens].index("main")
+            raise ParseError(f"unknown verdict {main!r}", lineno, _token_column(line, k))
+        tally.verdicts[main] += 1
+        tally.cases[kv["case"]] = tally.cases.get(kv["case"], 0) + 1
+        failed = main == "Fails"
+        check_failed = "=false" in line and any(kv.get(k) == "false" for k in CHECK_NAMES)
+        if failed:
+            tally.fails.append(line)
+        if check_failed:
+            tally.check_failures.append(line)
+        if failed or check_failed:
+            tally.flagged.append(line)
+    return tally
 
 
 def run_search(cfg: SearchConfig) -> SearchSummary:
@@ -546,9 +583,9 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
             if os.path.exists(path):
                 os.remove(path)
 
-    verdicts, fails, check_failures = _summarize_lines(lines)
+    tally = summarize_lines(lines)
     return SearchSummary(
-        pairs=len(lines), verdicts=verdicts, fails=fails,
-        check_failures=check_failures, elapsed=time.perf_counter() - t0,
+        pairs=len(lines), verdicts=tally.verdicts, fails=tally.fails,
+        check_failures=tally.check_failures, elapsed=time.perf_counter() - t0,
         report_path=cfg.report_path,
     )

@@ -1,11 +1,21 @@
-"""Minkowski sumsets of finite planar point sets and translation normal forms."""
+"""Minkowski sumsets of finite planar point sets and translation normal forms.
+
+``sum_decomposition`` splits A + B into hull boundary and interior from the
+summands' decompositions alone. The hull of A + B is the Minkowski sum of
+the two hull polygons, whose edge cycle is the two summands' edge cycles
+merged by angle, with parallel edges added (de Berg et al., *Computational
+Geometry*, ch. 13). The lattice points of a hull edge are walked in gcd
+steps, and each one that is in A + B is a boundary point. Every other point
+of A + B is interior. ``classify_points(minkowski_sum(a, b))`` decides the
+same split from scratch and is the reference the tests hold the kernel to.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
-from .geometry import Point, PointSet
+from .geometry import HullDecomposition, Point, PointSet
 
 
 @dataclass(frozen=True)
@@ -25,6 +35,77 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
     if not len(a) or not len(b):
         raise ValueError("minkowski_sum needs nonempty sets")
     return PointSet(Point(p.x + q.x, p.y + q.y) for p in a for q in b)
+
+
+class SumDecomposition(NamedTuple):
+    """Hull boundary and interior of A + B, as ``sum_decomposition`` finds them.
+
+    Points are plain ``(x, y)`` tuples, which compare and hash equal to
+    ``Point``s. ``hull_vertices`` and ``edge_normals`` are in the order that
+    ``classify_points`` gives them: CCW from the lexicographically smallest
+    vertex.
+    """
+
+    points: set
+    hull_vertices: tuple
+    boundary: frozenset
+    edge_normals: tuple
+
+    @property
+    def b(self) -> int:
+        return len(self.boundary)
+
+    @property
+    def i(self) -> int:
+        return len(self.points) - len(self.boundary)
+
+
+def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomposition:
+    """Boundary/interior split of A + B from the decompositions of A and B."""
+    pts = {(ax + bx, ay + by) for ax, ay in da.points for bx, by in db.points}
+    ea, eb = da.edge_table, db.edge_table
+    na, nb = len(ea), len(eb)
+    # merge the two edge cycles by angle; rows are (half, sx, sy, g, normal)
+    merged = []
+    i = j = 0
+    while i < na and j < nb:
+        ha, ax, ay, ga, ua = ea[i]
+        hb, bx, by, gb, ub = eb[j]
+        # within one half, parallel edges point the same way
+        order = hb - ha if ha != hb else ax * by - ay * bx
+        if order > 0:
+            merged.append((ax, ay, ga, ua))
+            i += 1
+        elif order < 0:
+            merged.append((bx, by, gb, ub))
+            j += 1
+        else:
+            merged.append((ax, ay, ga + gb, ua))
+            i += 1
+            j += 1
+    merged.extend(row[1:] for row in ea[i:])
+    merged.extend(row[1:] for row in eb[j:])
+
+    a0, b0 = da.hull_vertices[0], db.hull_vertices[0]
+    x, y = a0[0] + b0[0], a0[1] + b0[1]
+    vertices = []
+    boundary = []
+    for sx, sy, g, _ in merged:
+        vertices.append((x, y))  # a vertex of A + B is a sum of vertices
+        for _ in range(g - 1):
+            x += sx
+            y += sy
+            if (x, y) in pts:
+                boundary.append((x, y))
+        x += sx
+        y += sy
+    boundary.extend(vertices)
+    return SumDecomposition(
+        points=pts,
+        hull_vertices=tuple(vertices),
+        boundary=frozenset(boundary),
+        edge_normals=tuple(row[3] for row in merged),
+    )
 
 
 def unique_representation(a: PointSet, b: PointSet) -> Tuple[bool, Optional[SumWitness]]:

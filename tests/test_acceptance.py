@@ -9,7 +9,6 @@ more with eight workers for the byte-determinism comparison.
 import random
 import time
 from dataclasses import replace
-from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +31,7 @@ from planesum import (
     random_saturated_set,
     run_search,
     separated_pair,
+    sum_decomposition,
     tr_euler,
     triangulate_explicit,
     twice_hull_area,
@@ -155,48 +155,13 @@ def test_criterion_6_interior_bounds(sweep3):
                      f"pairs; worked instance i_sum=5 with 18 >= 18 equality")
 
 
-def _hull_ccw(pts_sorted):
-    def half(seq):
-        ch = []
-        for px, py in seq:
-            while len(ch) >= 2:
-                ax, ay = ch[-2]
-                bx, by = ch[-1]
-                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0:
-                    ch.pop()
-                else:
-                    break
-            ch.append((px, py))
-        return ch
-    lo = half(pts_sorted)
-    hi = half(reversed(pts_sorted))
-    return lo[:-1] + hi[:-1]
-
-
-def _sum_interior_count(sum_set):
-    """Interior-point count of a non-collinear sumset, tuned for the sweep."""
-    hull = _hull_ccw(sorted(sum_set))
-    n = len(hull)
-    b = 0
-    for k in range(n):
-        ax, ay = hull[k]
-        bx, by = hull[(k + 1) % n]
-        dx, dy = bx - ax, by - ay
-        g = gcd(abs(dx), abs(dy))
-        sx, sy = dx // g, dy // g
-        for t in range(g):  # tail vertex plus edge interior; head on next edge
-            if (ax + sx * t, ay + sy * t) in sum_set:
-                b += 1
-    return len(sum_set) - b
-
-
 def test_criterion_7_boundary_only_classification():
     t0 = time.perf_counter()
     trans = [(s, classify_points(s)) for s in enumerate_point_sets(4, 4, 3, 16)]
-    trans_b = [(s, d.b) for s, d in trans if d.i == 0]
-    dihe_b = [(s, classify_points(s).b)
-              for s in enumerate_point_sets(4, 4, 3, 16, symmetry="dihedral")
-              if classify_points(s).i == 0]
+    trans_b = [(s, d) for s, d in trans if d.i == 0]
+    dihe_b = [(s, d) for s, d in ((s, classify_points(s)) for s in
+                                  enumerate_point_sets(4, 4, 3, 16, symmetry="dihedral"))
+              if d.i == 0]
 
     # Every pair of boundary-only 4x4 subsets is equivalent, under one shared
     # lattice symmetry, to (A0, B) with A0 dihedral-canonical and B
@@ -204,24 +169,20 @@ def test_criterion_7_boundary_only_classification():
     # symmetry, so sweeping the product covers every pair.
     assert len(trans_b) == 7055 and len(dihe_b) == 992
 
-    # cross-check the tuned interior counter against the reference classifier
+    # cross-check the library sum kernel against the reference classifier
     rng = random.Random(7055)
     for _ in range(200):
-        sa, _ = trans_b[rng.randrange(len(trans_b))]
-        sb, _ = trans_b[rng.randrange(len(trans_b))]
-        fast = _sum_interior_count(
-            {(p.x + q.x, p.y + q.y) for p in sa for q in sb})
-        assert fast == classify_points(minkowski_sum(sa, sb)).i
+        sa, da = trans_b[rng.randrange(len(trans_b))]
+        sb, db = trans_b[rng.randrange(len(trans_b))]
+        assert sum_decomposition(da, db).i == classify_points(minkowski_sum(sa, sb)).i
 
-    pre_t = [(tuple((p.x, p.y) for p in s), b, s) for s, b in trans_b]
+    pre_t = [(db, db.b, sb) for sb, db in trans_b]
     failures = 0
     unexplained = 0
-    for sa, ba in dihe_b:
-        ta = tuple((p.x, p.y) for p in sa)
-        threshold = ba - 6
-        for tb, bb, sb in pre_t:
-            sum_set = {(ax + bx, ay + by) for ax, ay in ta for bx, by in tb}
-            if 2 * _sum_interior_count(sum_set) < threshold + bb:
+    for sa, da in dihe_b:
+        threshold = da.b - 6
+        for db, bb, sb in pre_t:
+            if 2 * sum_decomposition(da, db).i < threshold + bb:
                 failures += 1
                 if not check_extremal_classification(sa, sb):
                     unexplained += 1

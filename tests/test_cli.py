@@ -156,6 +156,20 @@ class TestReportSummarize:
         assert code == 0
         assert "pairs=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line", [
+        "a=p b=q case=General freiman=true",  # no main=, once a KeyError and exit 1
+        "a=p b=q main=Maybe case=General",
+        "a=p b=q main=Equality case=General oops",
+    ])
+    def test_malformed_line_exits_two(self, tmp_path, capsys, line):
+        report = tmp_path / "r.txt"
+        report.write_text("a=p b=q main=Equality case=General freiman=true\n" + line + "\n")
+        code = cli_dispatch(["report", "summarize", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "line 2" in captured.err
+        assert captured.out == ""
+
     def test_sweep_report_feeds_summarizer(self, tmp_path, capsys):
         report = tmp_path / "sweep.txt"
         code = cli_dispatch(["search", "--grid", "2x2", "--check", "freiman",

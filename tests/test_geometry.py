@@ -259,6 +259,26 @@ class TestGenericDirection:
             [(1, 0), (-1, 1), (-1, -1), (1, -1), (-1, 3), (0, -1)]
         )
 
+    def test_many_blocked_directions(self):
+        # a zonogon with edges along the first 40 candidates, both ways: the
+        # answer is the 41st candidate, past any short list of them
+        cands = sorted(((dx, dy) for dx in range(8) for dy in range(-7, 8)
+                        if math.gcd(dx, abs(dy)) == 1 and (dx > 0 or dy == 1)),
+                       key=lambda v: (max(abs(v[0]), abs(v[1])), v[0], abs(v[1]), v[1] < 0))
+        blocked = cands[:40]
+        edges = sorted(blocked + [(-dx, -dy) for dx, dy in blocked],
+                       key=lambda e: math.atan2(e[1], e[0]))
+        x = y = 0
+        corners = []
+        for dx, dy in edges:
+            corners.append((x, y))
+            x, y = x + dx, y + dy
+        d = classify_points(corners)
+        assert len(d.hull_vertices) == 80
+        expected = _brute_force_first_generic(blocked, limit=7)
+        assert expected == Direction(*cands[40])
+        assert generic_direction(d, d) == generic_direction(d.points, d.points) == expected
+
     @given(st.lists(points, min_size=3, max_size=12))
     @settings(max_examples=60)
     def test_postcondition_not_parallel_to_any_edge(self, pts):

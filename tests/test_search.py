@@ -8,6 +8,7 @@ import pytest
 import planesum.search as search_mod
 from planesum import (
     CapExceeded,
+    ParseError,
     PointSet,
     ResumeMismatch,
     SearchConfig,
@@ -103,6 +104,22 @@ class TestRandomGenerators:
             ok, witness = unique_representation(a, b)
             assert ok, witness
 
+    @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (1, 1)])
+    def test_one_line_grid_rejected(self, grid):
+        # every subset of such a grid is collinear, so the draw loop could
+        # never stop; the bounded generator fails the test instead of hanging
+        class BoundedRandom(random.Random):
+            draws = 0
+
+            def sample(self, population, k):
+                self.draws += 1
+                if self.draws > 1000:
+                    raise AssertionError("draw loop did not stop")
+                return super().sample(population, k)
+
+        with pytest.raises(ValueError, match="at least 2"):
+            random_point_set(BoundedRandom(0), grid[0], grid[1], 3, 5)
+
     def test_seeded_reproducibility(self):
         s1 = random_point_set(random.Random(42), 8, 8, 3, 10)
         s2 = random_point_set(random.Random(42), 8, 8, 3, 10)
@@ -132,6 +149,11 @@ class TestSearchConfig:
     def test_validate_rejects_random_without_count(self):
         with pytest.raises(ValueError):
             SearchConfig(grid_w=3, grid_h=3, mode="random").validate()
+
+    @pytest.mark.parametrize("mode, count", [("random", 10), ("exhaustive", 0)])
+    def test_validate_rejects_one_line_grid(self, mode, count):
+        with pytest.raises(ValueError, match="at least 2"):
+            SearchConfig(grid_w=1, grid_h=5, mode=mode, count=count).validate()
 
     def test_exhaustive_cap(self):
         with pytest.raises(CapExceeded):
@@ -176,14 +198,27 @@ class TestRecordLine:
 class TestSummarize:
     def test_counts_fails_and_check_failures(self):
         lines = [
-            "a=p b=q main=StrictHolds freiman=true",
-            "a=p b=r main=Fails freiman=true",
-            "a=q b=r main=Equality freiman=false arcs=skip",
+            "a=p b=q main=StrictHolds case=General freiman=true",
+            "a=p b=r main=Fails case=General freiman=true",
+            "a=q b=r main=Equality case=BoundaryOnly freiman=false arcs=skip",
         ]
-        verdicts, fails, check_failures = search_mod._summarize_lines(lines)
-        assert verdicts == {"StrictHolds": 1, "Equality": 1, "Fails": 1}
-        assert fails == [lines[1]]
-        assert check_failures == [lines[2]]
+        tally = search_mod.summarize_lines(lines)
+        assert tally.verdicts == {"StrictHolds": 1, "Equality": 1, "Fails": 1}
+        assert tally.cases == {"General": 2, "BoundaryOnly": 1}
+        assert tally.fails == [lines[1]]
+        assert tally.check_failures == [lines[2]]
+        assert tally.flagged == [lines[1], lines[2]]
+
+    @pytest.mark.parametrize("line, column", [
+        ("a=p b=q case=General freiman=true", 1),  # no main=
+        ("a=p b=q main=Equality freiman=true", 1),  # no case=
+        ("a=p b=q main=Maybe case=General", 9),  # unknown verdict
+        ("a=p b=q main=Equality case=General stray", 36),  # token without =
+    ])
+    def test_malformed_line_raises_parse_error(self, line, column):
+        with pytest.raises(ParseError) as info:
+            search_mod.summarize_lines(["a=p b=q main=Equality case=General", line])
+        assert (info.value.line, info.value.column) == (2, column)
 
 
 def _cfg_kwargs(cfg: SearchConfig) -> dict:

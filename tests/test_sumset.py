@@ -1,14 +1,26 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planesum import (
+    CollinearInput,
+    Direction,
     Point,
     PointSet,
+    arc_decomposition,
     canonical_translate,
+    classify_points,
     convex_hull,
+    generic_direction,
     is_translate_of,
     minkowski_sum,
+    random_point_set,
+    random_saturated_set,
+    separated_pair,
+    sum_decomposition,
+    support_set,
     unique_representation,
 )
 
@@ -125,3 +137,87 @@ class TestIsTranslateOf:
 
     def test_rejects_different_sizes(self):
         assert not is_translate_of(TRI, PointSet([(0, 0)]))
+
+
+def _polygon(pts):
+    """Decomposition of a non-collinear point list, None for a collinear one."""
+    try:
+        return classify_points(pts)
+    except CollinearInput:
+        return None
+
+
+polygons = st.lists(points, min_size=3, max_size=12).map(_polygon).filter(
+    lambda d: d is not None)
+triangles = st.lists(points, min_size=3, max_size=3).map(_polygon).filter(
+    lambda d: d is not None)
+# saturated grids of a random box, so every set has interior points
+boxes = st.builds(
+    lambda x, y, w, h: classify_points([(x + i, y + j) for i in range(w) for j in range(h)]),
+    coords, coords, st.integers(3, 6), st.integers(3, 6))
+seeds = st.integers(0, 2**32 - 1)
+saturated = seeds.map(lambda seed: classify_points(random_saturated_set(random.Random(seed))))
+grid_sets = seeds.map(lambda seed: classify_points(
+    random_point_set(random.Random(seed), 4, 4, 3, 16)))
+summands = st.one_of(polygons, triangles, boxes, saturated, grid_sets)
+separated = seeds.map(lambda seed: tuple(
+    classify_points(s) for s in separated_pair(random.Random(seed))))
+
+
+class TestSumDecomposition:
+    """The merged-hull kernel must split A + B exactly as the oracle does."""
+
+    def _assert_matches_oracle(self, da, db):
+        got = sum_decomposition(da, db)
+        ref = classify_points(minkowski_sum(da.points, db.points))
+        assert (got.b, got.i, len(got.points)) == (ref.b, ref.i, len(ref.points))
+        assert got.points == set(ref.points)
+        assert got.boundary == set(ref.boundary)
+        assert got.hull_vertices == ref.hull_vertices
+        assert got.edge_normals == ref.edge_normals
+
+    def test_triangle_doubled(self):
+        d = classify_points(TRI)
+        got = sum_decomposition(d, d)
+        assert (got.b, got.i) == (6, 0)
+        assert got.hull_vertices == ((0, 0), (2, 0), (0, 2))
+
+    def test_parallel_edges_add(self):
+        # both squares have all four edge directions; every sum edge is a sum
+        sq = classify_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+        big = classify_points([(x, y) for x in range(3) for y in range(3)])
+        got = sum_decomposition(sq, big)
+        assert got.hull_vertices == ((0, 0), (3, 0), (3, 3), (0, 3))
+        assert (got.b, got.i) == (12, 4)
+
+    @given(summands, summands)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, da, db):
+        self._assert_matches_oracle(da, db)
+
+    @given(separated)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_on_separated_pairs(self, pair):
+        self._assert_matches_oracle(*pair)
+
+
+class TestMemoTables:
+    """Per-set memo tables must return what the direct calls return."""
+
+    @given(summands, st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0)),
+        min_size=1, max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_support_matches_support_set(self, d, vectors):
+        for dx, dy in vectors + vectors:  # the second round reads the memo
+            u = Direction.of(dx, dy)
+            assert d.support(u) == support_set(d.points, u)
+
+    @given(summands, summands)
+    @settings(max_examples=120, deadline=None)
+    def test_arc_matches_arc_decomposition(self, da, db):
+        v = generic_direction(da, db)
+        assert v == generic_direction(da.points, db.points)
+        for d in (da, db, da, db):
+            assert d.arc(v) == arc_decomposition(d, v)
+            assert d.arc(-v) == arc_decomposition(d, -v)
