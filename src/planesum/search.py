@@ -8,11 +8,17 @@ once.
 
 Parallel runs stay reproducible by construction rather than by locking:
 
-* each pair has a stable id (the serialized canonical forms), and a hash of
-  that id assigns the pair to one of ``workers`` shards;
+* a pair belongs to one of ``workers`` shards by its position in the pair
+  stream, and each shard generates only its own pairs: in exhaustive mode
+  row ``i`` of the sorted class list (every pair whose smaller set is class
+  ``i``) belongs to shard ``i % workers``; in random mode draw ``k`` belongs
+  to shard ``k % workers``, and every shard steps the generator through all
+  draws but builds canonical forms for its own only;
 * each shard writes its records to its own file and checkpoints its progress
-  (config fingerprint + records written) atomically, so a killed run resumes
-  by truncating to the checkpoint and skipping that many pairs;
+  (config fingerprint + pairs visited + records written) atomically, so a
+  killed run resumes by truncating to the checkpoint and skipping that many
+  of its pairs; a finished shard also stores its tally of verdicts, fails
+  and check failures;
 * the final report is the sorted merge of all shard files, which makes the
   output bytes independent of worker count and interruption history.
 
@@ -22,6 +28,7 @@ for summaries but kept out of record lines, which must be reproducible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -30,12 +37,13 @@ import random
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conjecture import (
     ConjectureReport,
     Pair,
+    Verdict,
     check_arc_structure,
     check_boundary_superadditivity,
     check_extremal_classification,
@@ -115,7 +123,7 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
         raise ValueError("max_pts must be at least min_pts")
     if symmetry not in ("translation", "dihedral"):
         raise ValueError(f"unknown symmetry {symmetry!r}")
-    grid = [Point(x, y) for x in range(grid_w) for y in range(grid_h)]
+    grid = _grid_points(grid_w, grid_h)
     seen = set()
     for size in range(min_pts, min(max_pts, len(grid)) + 1):
         for combo in itertools.combinations(grid, size):
@@ -126,6 +134,10 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
                 continue
             seen.add(canon)
             yield canon
+
+
+def _grid_points(grid_w: int, grid_h: int) -> List[Point]:
+    return [Point(x, y) for x in range(grid_w) for y in range(grid_h)]
 
 
 def _check_grid_has_area(grid_w: int, grid_h: int) -> None:
@@ -142,12 +154,18 @@ def random_point_set(rng: random.Random, grid_w: int, grid_h: int,
     if min_pts < 3:
         raise ValueError("min_pts must be at least 3")
     _check_grid_has_area(grid_w, grid_h)
-    grid = [Point(x, y) for x in range(grid_w) for y in range(grid_h)]
+    return PointSet(_draw(rng, _grid_points(grid_w, grid_h), min_pts, max_pts))
+
+
+def _draw(rng: random.Random, grid: Sequence[Point], min_pts: int,
+          max_pts: int) -> List[Point]:
+    # every random-mode shard replays each draw's generator calls, so this is
+    # the whole of a draw that another shard owns: no PointSet, no canonical form
     while True:
         k = rng.randint(min_pts, min(max_pts, len(grid)))
         pts = rng.sample(grid, k)
         if not _collinear(pts):
-            return PointSet(pts)
+            return pts
 
 
 def random_saturated_set(rng: random.Random, span: int = 9,
@@ -214,6 +232,10 @@ class SearchConfig:
                 f"exhaustive sweep over {self.grid_w}x{self.grid_h} exceeds "
                 f"the {GRID_CELL_CAP}-cell cap"
             )
+        if self.min_pts < 3:
+            raise ValueError("min_pts must be at least 3: smaller sets are collinear")
+        if self.max_pts is not None and self.max_pts < self.min_pts:
+            raise ValueError("max_pts must be at least min_pts")
         if self.mode == "random" and self.count < 1:
             raise ValueError("random mode needs count >= 1")
         if self.workers < 1:
@@ -236,6 +258,9 @@ class SearchConfig:
             "checks": list(self.checks),
             "workers": self.workers,
             "symmetry": self.symmetry,
+            # pairs go to shards by stream position; a checkpoint from the
+            # earlier hash-of-ids assignment covers other pairs
+            "sharding": "position",
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -293,41 +318,37 @@ def serialize_set_id(s: PointSet) -> str:
     return ";".join(f"{p.x},{p.y}" for p in s)
 
 
-def _shard_of(pair_id: str, workers: int) -> int:
-    digest = hashlib.sha256(pair_id.encode()).digest()
-    return int.from_bytes(digest[:8], "big") % workers
-
-
-def _pair_stream(cfg: SearchConfig) -> Iterator[Tuple[PointSet, PointSet]]:
+def _pair_stream(cfg: SearchConfig, shard: int) -> Iterator[Tuple[PointSet, PointSet]]:
+    """The pairs of one shard, in stream order (see the module docstring)."""
     if cfg.mode == "exhaustive":
         sets = sorted(enumerate_point_sets(
             cfg.grid_w, cfg.grid_h, cfg.min_pts, cfg.max_pts, cfg.symmetry))
-        for i in range(len(sets)):
+        for i in range(shard, len(sets), cfg.workers):
             for j in range(i, len(sets)):
                 yield sets[i], sets[j]
     else:
         rng = random.Random(cfg.seed)
-        for _ in range(cfg.count):
-            a = _canonical(random_point_set(rng, cfg.grid_w, cfg.grid_h,
-                                            cfg.min_pts, cfg.max_pts), cfg.symmetry)
-            b = _canonical(random_point_set(rng, cfg.grid_w, cfg.grid_h,
-                                            cfg.min_pts, cfg.max_pts), cfg.symmetry)
+        grid = _grid_points(cfg.grid_w, cfg.grid_h)
+        for k in range(cfg.count):
+            a = _draw(rng, grid, cfg.min_pts, cfg.max_pts)
+            b = _draw(rng, grid, cfg.min_pts, cfg.max_pts)
+            if k % cfg.workers != shard:
+                continue
+            a = _canonical(a, cfg.symmetry)
+            b = _canonical(b, cfg.symmetry)
             if b < a:
                 a, b = b, a
             yield a, b
 
 
-def _passes_set_filters(cfg: SearchConfig, da: HullDecomposition,
-                        db: HullDecomposition) -> bool:
-    # filters decidable from the two summands alone, checked before the
-    # (much more expensive) sumset decomposition is computed
+def _passes_set_filters(cfg: SearchConfig, d: HullDecomposition) -> bool:
+    # filters decidable from one summand alone, checked before the other
+    # summand is classified and before the sumset decomposition
     for f in cfg.filters:
-        if f == "boundary-only":
-            if da.i != 0 or db.i != 0:
-                return False
-        elif f == "interior-both":
-            if da.i < 1 or db.i < 1:
-                return False
+        if f == "boundary-only" and d.i != 0:
+            return False
+        if f == "interior-both" and d.i < 1:
+            return False
     return True
 
 
@@ -403,7 +424,8 @@ def run_shard(cfg_kwargs: dict, shard: int) -> int:
     again after a crash: the checkpoint stores how many of the shard's pairs
     were fully handled (``visited``) and how many record lines those produced
     (``records``, smaller when filters drop pairs); resuming truncates the
-    record file to that many lines and skips that many pairs.
+    record file to that many lines, re-tallies them and skips that many
+    pairs. The final checkpoint also stores the shard's ``tally``.
     """
     cfg = SearchConfig(**cfg_kwargs)
     fingerprint = cfg.fingerprint()
@@ -416,6 +438,7 @@ def run_shard(cfg_kwargs: dict, shard: int) -> int:
             return int(state["records"])
         visited_done = int(state.get("visited", 0))
         records_done = int(state.get("records", 0))
+    kept: List[str] = []
     if records_done:
         with open(records_path, "r", encoding="utf-8") as fh:
             kept = list(itertools.islice(fh, records_done))
@@ -423,46 +446,32 @@ def run_shard(cfg_kwargs: dict, shard: int) -> int:
             # checkpoint ahead of the file: fall back to a fresh shard
             visited_done = records_done = 0
             kept = []
-        with open(records_path, "w", encoding="utf-8") as fh:
-            fh.writelines(kept)
-    else:
-        open(records_path, "w", encoding="utf-8").close()
+    with open(records_path, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+    tally = summarize_lines([line.rstrip("\n") for line in kept])
 
-    decomp_cache: Dict[PointSet, HullDecomposition] = {}
-
-    def decomp(s: PointSet) -> HullDecomposition:
-        d = decomp_cache.get(s)
-        if d is None:
-            d = classify_points(s)
-            decomp_cache[s] = d
-        return d
-
-    visited = 0
+    decomp = functools.cache(classify_points)
+    set_id = functools.cache(serialize_set_id)
+    visited = visited_done
     records = records_done
     with open(records_path, "a", encoding="utf-8") as out:
-        for a, b in _pair_stream(cfg):
-            a_id = serialize_set_id(a)
-            b_id = serialize_set_id(b)
-            pair_id = f"{a_id}|{b_id}"
-            if _shard_of(pair_id, cfg.workers) != shard:
-                continue
+        for a, b in itertools.islice(_pair_stream(cfg, shard), visited_done, None):
             visited += 1
-            if visited <= visited_done:
-                continue
             t0 = time.perf_counter()
             da = decomp(a)
-            db = decomp(b)
-            if _passes_set_filters(cfg, da, db):
+            if _passes_set_filters(cfg, da) and _passes_set_filters(cfg, db := decomp(b)):
                 pair = Pair(a, b, da, db)
                 if _passes_sum_filters(cfg, pair):
                     report = check_pair(a, b, da, db, pair.dab)
                     checks = _evaluate_checks(cfg, pair)
-                    rec = SearchRecord(a_id=a_id, b_id=b_id, report=report,
-                                       checks=checks,
-                                       walltime=time.perf_counter() - t0)
-                    out.write(rec.line() + "\n")
+                    line = SearchRecord(a_id=set_id(a), b_id=set_id(b), report=report,
+                                        checks=checks,
+                                        walltime=time.perf_counter() - t0).line()
+                    out.write(line + "\n")
                     records += 1
-            if visited > visited_done and visited % _CHECKPOINT_EVERY == 0:
+                    tally.add(line, report.main.value, report.case.value,
+                              False in checks.values())
+            if visited % _CHECKPOINT_EVERY == 0:
                 out.flush()
                 _atomic_write(state_path, json.dumps({
                     "config": fingerprint, "visited": visited,
@@ -471,7 +480,7 @@ def run_shard(cfg_kwargs: dict, shard: int) -> int:
         out.flush()
     _atomic_write(state_path, json.dumps({
         "config": fingerprint, "visited": visited, "records": records,
-        "complete": True,
+        "complete": True, "tally": asdict(tally),
     }))
     return records
 
@@ -496,11 +505,23 @@ class SearchSummary:
 class ReportTally:
     """What a list of record lines adds up to."""
 
-    verdicts: Dict[str, int]
-    cases: Dict[str, int]
-    fails: List[str]  # main=Fails
-    check_failures: List[str]  # some named check false
-    flagged: List[str]  # either of the two, each line once, in order
+    verdicts: Dict[str, int] = field(
+        default_factory=lambda: {v.value: 0 for v in Verdict})
+    cases: Dict[str, int] = field(default_factory=dict)
+    fails: List[str] = field(default_factory=list)  # main=Fails
+    check_failures: List[str] = field(default_factory=list)  # some named check false
+    flagged: List[str] = field(default_factory=list)  # either, each line once, in order
+
+    def add(self, line: str, main: str, case: str, check_failed: bool) -> None:
+        self.verdicts[main] += 1
+        self.cases[case] = self.cases.get(case, 0) + 1
+        failed = main == Verdict.FAILS.value
+        if failed:
+            self.fails.append(line)
+        if check_failed:
+            self.check_failures.append(line)
+        if failed or check_failed:
+            self.flagged.append(line)
 
 
 def _token_column(line: str, k: int) -> int:
@@ -512,8 +533,7 @@ def summarize_lines(lines: Sequence[str]) -> ReportTally:
     """Tally record lines; ParseError (1-based line and column) on a line that
     has a token without ``=``, lacks ``main`` or ``case``, or names an
     unknown verdict."""
-    tally = ReportTally(verdicts={"StrictHolds": 0, "Equality": 0, "Fails": 0},
-                        cases={}, fails=[], check_failures=[], flagged=[])
+    tally = ReportTally()
     for lineno, line in enumerate(lines, start=1):
         tokens = line.split()
         try:
@@ -529,17 +549,16 @@ def summarize_lines(lines: Sequence[str]) -> ReportTally:
         if main not in tally.verdicts:
             k = [tok.split("=", 1)[0] for tok in tokens].index("main")
             raise ParseError(f"unknown verdict {main!r}", lineno, _token_column(line, k))
-        tally.verdicts[main] += 1
-        tally.cases[kv["case"]] = tally.cases.get(kv["case"], 0) + 1
-        failed = main == "Fails"
         check_failed = "=false" in line and any(kv.get(k) == "false" for k in CHECK_NAMES)
-        if failed:
-            tally.fails.append(line)
-        if check_failed:
-            tally.check_failures.append(line)
-        if failed or check_failed:
-            tally.flagged.append(line)
+        tally.add(line, main, kv["case"], check_failed)
     return tally
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
 
 
 def run_search(cfg: SearchConfig) -> SearchSummary:
@@ -554,26 +573,28 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
         _, state_path = _shard_paths(cfg, shard)
         _load_shard_state(state_path, fingerprint)
 
-    cfg_kwargs = {
-        "grid_w": cfg.grid_w, "grid_h": cfg.grid_h, "min_pts": cfg.min_pts,
-        "max_pts": cfg.max_pts, "mode": cfg.mode, "seed": cfg.seed,
-        "count": cfg.count, "filters": cfg.filters, "checks": cfg.checks,
-        "workers": cfg.workers, "symmetry": cfg.symmetry,
-        "report_path": cfg.report_path, "checkpoint_path": cfg.checkpoint_path,
-    }
-    if cfg.workers == 1:
-        run_shard(cfg_kwargs, 0)
+    cfg_kwargs = asdict(cfg)
+    processes = min(cfg.workers, _usable_cpus())
+    if processes == 1:
+        for shard in range(cfg.workers):
+            run_shard(cfg_kwargs, shard)
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(run_shard, cfg_kwargs, k) for k in range(cfg.workers)]
             for fut in futures:
                 fut.result()
 
     lines: List[str] = []
+    tally = ReportTally()
     for shard in range(cfg.workers):
-        records_path, _ = _shard_paths(cfg, shard)
+        records_path, state_path = _shard_paths(cfg, shard)
         with open(records_path, "r", encoding="utf-8") as fh:
             lines.extend(line.rstrip("\n") for line in fh if line.strip())
+        part = ReportTally(**_load_shard_state(state_path, fingerprint)["tally"])
+        for verdict, n in part.verdicts.items():
+            tally.verdicts[verdict] += n
+        tally.fails += part.fails
+        tally.check_failures += part.check_failures
     lines.sort()
     _atomic_write(cfg.report_path, "".join(line + "\n" for line in lines))
 
@@ -583,7 +604,9 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
             if os.path.exists(path):
                 os.remove(path)
 
-    tally = summarize_lines(lines)
+    # both lists are subsequences of the sorted report
+    tally.fails.sort()
+    tally.check_failures.sort()
     return SearchSummary(
         pairs=len(lines), verdicts=tally.verdicts, fails=tally.fails,
         check_failures=tally.check_failures, elapsed=time.perf_counter() - t0,

@@ -1,6 +1,10 @@
+import hashlib
 import itertools
 import json
+import os
 import random
+from collections import Counter
+from concurrent.futures import Future
 from dataclasses import asdict, replace
 
 import pytest
@@ -13,6 +17,7 @@ from planesum import (
     ResumeMismatch,
     SearchConfig,
     SearchRecord,
+    Verdict,
     check_pair,
     classify_points,
     enumerate_point_sets,
@@ -155,6 +160,14 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="at least 2"):
             SearchConfig(grid_w=1, grid_h=5, mode=mode, count=count).validate()
 
+    def test_validate_rejects_bad_sizes(self):
+        # random mode used to raise only once a worker drew its first set
+        with pytest.raises(ValueError, match="min_pts"):
+            SearchConfig(grid_w=4, grid_h=4, mode="random", count=5, min_pts=2).validate()
+        with pytest.raises(ValueError, match="max_pts"):
+            SearchConfig(grid_w=4, grid_h=4, mode="random", count=5, min_pts=5,
+                         max_pts=4).validate()
+
     def test_exhaustive_cap(self):
         with pytest.raises(CapExceeded):
             SearchConfig(grid_w=6, grid_h=6).validate()
@@ -221,6 +234,45 @@ class TestSummarize:
         assert (info.value.line, info.value.column) == (2, column)
 
 
+STREAM_CONFIGS = {
+    "exhaustive-3x3": SearchConfig(grid_w=3, grid_h=3),
+    "random-4x4-filtered": SearchConfig(grid_w=4, grid_h=4, mode="random", seed=17,
+                                        count=400, max_pts=8,
+                                        filters=("boundary-only", "unique-rep")),
+}
+
+
+class TestShardedStream:
+    @pytest.mark.parametrize("name", sorted(STREAM_CONFIGS))
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5])
+    def test_shards_partition_the_stream(self, name, workers):
+        cfg = STREAM_CONFIGS[name].normalized()
+        whole = Counter(search_mod._pair_stream(cfg, 0))
+        sharded = replace(cfg, workers=workers)
+        parts = [Counter(search_mod._pair_stream(sharded, s)) for s in range(workers)]
+        assert sum(parts, Counter()) == whole
+        assert all(parts)  # every shard gets work on these streams
+
+    def test_exhaustive_shard_owns_whole_rows(self):
+        cfg = replace(STREAM_CONFIGS["exhaustive-3x3"], workers=3).normalized()
+        rows = sorted(enumerate_point_sets(3, 3, 3, 9))
+        for shard in range(3):
+            firsts = {a for a, _ in search_mod._pair_stream(cfg, shard)}
+            assert firsts == set(rows[shard::3])
+
+    def test_random_stream_replays_random_point_set(self):
+        # the draws must be exactly those of random_point_set, or the
+        # recorded report digests of earlier versions would no longer hold
+        cfg = replace(STREAM_CONFIGS["random-4x4-filtered"], symmetry="dihedral").normalized()
+        rng = random.Random(cfg.seed)
+        expected = []
+        for _ in range(cfg.count):
+            a, b = (search_mod._canonical(random_point_set(rng, 4, 4, 3, 8), "dihedral")
+                    for _ in range(2))
+            expected.append((a, b) if a <= b else (b, a))
+        assert list(search_mod._pair_stream(cfg, 0)) == expected
+
+
 def _cfg_kwargs(cfg: SearchConfig) -> dict:
     return asdict(cfg.normalized())
 
@@ -249,6 +301,55 @@ class TestRunShard:
                        "complete": False}, fh)
         with pytest.raises(ResumeMismatch):
             run_shard(kwargs, 0)
+
+    def test_hash_sharded_checkpoint_rejected(self, tmp_path):
+        # the fingerprint of the scheme that assigned pairs to shards by a
+        # sha256 of their ids: its shards hold other pairs than today's
+        cfg = SearchConfig(grid_w=2, grid_h=2, workers=2,
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        payload = {"grid": [2, 2], "pts": [3, 4], "mode": "exhaustive", "seed": 0,
+                   "count": 0, "filters": [], "checks": [], "workers": 2,
+                   "symmetry": "translation"}
+        old = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        records_path, state_path = search_mod._shard_paths(cfg, 0)
+        open(records_path, "w").close()
+        with open(state_path, "w") as fh:
+            json.dump({"config": old, "visited": 7, "records": 7, "complete": True}, fh)
+        with pytest.raises(ResumeMismatch):
+            run_shard(asdict(cfg), 0)
+        with pytest.raises(ResumeMismatch):
+            run_search(cfg)
+
+    def test_stored_tally_matches_the_shard_lines(self, tmp_path):
+        cfg = SearchConfig(grid_w=3, grid_h=3, max_pts=4, workers=2,
+                           checks=("interior", "arcs"),
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        run_shard(asdict(cfg), 1)
+        records_path, state_path = search_mod._shard_paths(cfg, 1)
+        with open(records_path) as fh:
+            lines = fh.read().splitlines()
+        with open(state_path) as fh:
+            state = json.load(fh)
+        assert state["complete"] and state["records"] == len(lines) > 0
+        assert state["tally"] == asdict(search_mod.summarize_lines(lines))
+
+    def test_second_summand_classified_only_when_first_passes(self, tmp_path, monkeypatch):
+        cfg = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=4, count=200,
+                           filters=("interior-both",),
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        classified = set()
+        real = search_mod.classify_points
+
+        def spy(s):
+            classified.add(s)
+            return real(s)
+
+        monkeypatch.setattr(search_mod, "classify_points", spy)
+        run_shard(asdict(cfg), 0)
+        pairs = list(search_mod._pair_stream(cfg, 0))
+        needed = {a for a, _ in pairs} | {b for a, b in pairs if real(a).i >= 1}
+        assert classified == needed
+        assert len(needed) < len({s for pair in pairs for s in pair})
 
     def _crash_then_resume(self, tmp_path, monkeypatch, ref_cfg, crash_after,
                            checkpoint_every):
@@ -306,6 +407,38 @@ class TestRunShard:
         state = self._crash_then_resume(tmp_path, monkeypatch, ref,
                                         crash_after=40, checkpoint_every=7)
         assert state["records"] < state["visited"]
+
+
+class InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(InlinePool, "created", [])
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InlinePool)
+    return InlinePool
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 class TestRunSearch:
@@ -379,3 +512,89 @@ class TestRunSearch:
                        "complete": False}, fh)
         with pytest.raises(ResumeMismatch):
             run_search(cfg)
+
+    @pytest.mark.parametrize("cpus, workers, pools", [
+        ({0, 1}, 5, [2]),  # more shards than CPUs: the pool is capped
+        ({0, 1, 2, 3}, 3, [3]),
+        ({0}, 4, []),  # one usable CPU: shards run one after another, no pool
+    ])
+    def test_pool_capped_at_usable_cpus(self, tmp_path, monkeypatch, inline_pool,
+                                        cpus, workers, pools):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        lone = SearchConfig(grid_w=2, grid_h=2, checks=("freiman",),
+                            report_path=str(tmp_path / "w1.txt"))
+        multi = replace(lone, workers=workers, report_path=str(tmp_path / "wn.txt"))
+        s1 = run_search(lone)
+        assert inline_pool.created == []
+        sn = run_search(multi)
+        assert inline_pool.created == pools
+        assert _read(s1.report_path) == _read(sn.report_path)
+
+    def test_pool_cap_falls_back_to_cpu_count(self, tmp_path, monkeypatch, inline_pool):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_search(SearchConfig(grid_w=2, grid_h=2, workers=8,
+                                report_path=str(tmp_path / "r.txt")))
+        assert inline_pool.created == [3]
+
+    def test_random_report_identical_for_one_and_three_workers(self, tmp_path, inline_pool):
+        lone = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=31, count=300,
+                            filters=("boundary-only",), checks=("classification", "arcs"),
+                            report_path=str(tmp_path / "w1.txt"))
+        multi = replace(lone, workers=3, report_path=str(tmp_path / "w3.txt"))
+        s1 = run_search(lone)
+        s3 = run_search(multi)
+        assert s1.pairs == s3.pairs > 0
+        assert _read(s1.report_path) == _read(s3.report_path)
+
+    def test_resumed_summary_equals_uninterrupted(self, tmp_path, monkeypatch):
+        # two shards, run inline; the first completes before the crash and the
+        # second is cut mid-way, so both the stored and the re-tallied prefix
+        # of a tally are merged. Some verdicts and checks are forced false so
+        # that the fails and check-failure lists are not empty.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY", 7)
+        real = search_mod.check_pair
+
+        def forced(a, b, *rest):
+            report = real(a, b, *rest)
+            if (len(a) + len(b)) % 3 == 0:
+                report = replace(report, main=Verdict.FAILS)
+            return report
+
+        monkeypatch.setattr(search_mod, "check_pair", forced)
+        monkeypatch.setattr(search_mod, "check_sum_boundary",
+                            lambda a, b, *rest: len(a) != len(b))
+        ref_cfg = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=8, count=120,
+                               max_pts=6, checks=("sum_boundary",), workers=2,
+                               report_path=str(tmp_path / "ref.txt"))
+        ref = run_search(ref_cfg)
+        assert ref.fails and ref.check_failures
+        # the shards' tallies add up to what a re-parse of the report gives
+        parsed = search_mod.summarize_lines(_read(ref.report_path).decode().splitlines())
+        assert (ref.verdicts, ref.fails, ref.check_failures) == (
+            parsed.verdicts, parsed.fails, parsed.check_failures)
+
+        calls = {"n": 0}
+
+        def crashing(*args):
+            calls["n"] += 1
+            if calls["n"] > 80:
+                raise RuntimeError("injected crash")
+            return forced(*args)
+
+        cfg = replace(ref_cfg, report_path=str(tmp_path / "crash.txt"))
+        monkeypatch.setattr(search_mod, "check_pair", crashing)
+        with pytest.raises(RuntimeError):
+            run_search(cfg)
+        states = []
+        for shard in range(2):
+            _, state_path = search_mod._shard_paths(cfg.normalized(), shard)
+            with open(state_path) as fh:
+                states.append(json.load(fh)["complete"])
+        assert states == [True, False]
+        monkeypatch.setattr(search_mod, "check_pair", forced)
+        resumed = run_search(cfg)
+        assert (replace(resumed, elapsed=0.0, report_path="")
+                == replace(ref, elapsed=0.0, report_path=""))
+        assert _read(resumed.report_path) == _read(ref.report_path)
