@@ -21,18 +21,14 @@ import re
 import sys
 from typing import List, Optional, Sequence
 
-from .conjecture import (
-    ConjectureReport,
-    Verdict,
-    check_pair,
-    equality_family,
-)
+from .conjecture import ConjectureReport, Pair, Verdict, check_pair, equality_family
 from .errors import ParseError, PlanesumError
 from .geometry import classify_points
 from .ptsfile import load_point_set
 from .search import (
     CHECK_NAMES,
     FILTER_NAMES,
+    SYMMETRIES,
     SearchConfig,
     _fmt_bool,
     _fmt_opt,
@@ -70,10 +66,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    a = load_point_set(args.a)
-    b = load_point_set(args.b)
-    report = check_pair(a, b)
-    print(f"case={report.case.value} extremal={_fmt_opt(report.extremal)}")
+    p = Pair(load_point_set(args.a), load_point_set(args.b))
+    print(f"case={p.case.value} extremal={_fmt_opt(p.extremal)}")
     return 0
 
 
@@ -181,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", action="append", metavar="|".join(FILTER_NAMES))
     p.add_argument("--check", action="append", metavar="|".join(CHECK_NAMES))
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--symmetry", choices=["translation", "dihedral"],
-                   default="translation")
+    p.add_argument("--symmetry", choices=SYMMETRIES, default="translation")
     p.add_argument("--report", default="planesum-report.txt")
     p.add_argument("--checkpoint", default=None)
     p.set_defaults(fn=_cmd_search)

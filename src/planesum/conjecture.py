@@ -11,10 +11,11 @@ inequality:
 d = tr(A+B) - tr(A) - tr(B), the inequality holds iff d >= 0 and
 d^2 >= 4 tr(A) tr(B), with equality exactly when d^2 = 4 tr(A) tr(B).
 
-``check_pair`` evaluates the full report for one pair: the main verdict, the
-stronger linear form tr(A+B) >= 2(tr(A) + tr(B)), the equivalent count form
-2 i_{A+B} + b_{A+B} >= 4 i_A + 4 i_B + 2 b_A + 2 b_B - 6, and, for pairs
-with no interior points, the boundary form 2 i_{A+B} >= b_A + b_B - 6.
+``Pair`` owns every fact about one pair: the main verdict, the count form
+2 i_{A+B} + b_{A+B} >= 4 i_A + 4 i_B + 2 b_A + 2 b_B - 6 of the stronger
+linear form tr(A+B) >= 2(tr(A) + tr(B)), for pairs with no interior points
+the boundary form 2 i_{A+B} >= b_A + b_B - 6, the case and the extremal flag.
+``check_pair`` collects them into one report.
 
 The remaining checkers verify proved statements on concrete instances, so on
 valid inputs they must come back true; a false return is an implementation
@@ -38,14 +39,16 @@ bug or a genuine counterexample and either way demands attention:
 Every checker takes ``(a, b)`` plus optional cached decompositions of A, B
 and A + B, and reads them through one ``Pair``, which builds whichever is
 missing: the summands with ``classify_points``, the sum with the merged-hull
-kernel ``sum_decomposition``.
+kernel ``sum_decomposition``. ``CHECKS`` is the registry of the named side
+checks a sweep records: for each, whether it applies to a pair and its
+outcome there.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegeneratePolygon, PreconditionViolated
 from .geometry import (
@@ -100,10 +103,11 @@ class Pair:
     """One pair (A, B) with the decompositions of A, B and A + B.
 
     Decompositions passed in are used as they are; missing ones are built
-    here, once.
+    here, once. Every fact about the pair that a report or a check needs
+    is a property here.
     """
 
-    __slots__ = ("a", "b", "da", "db", "dab")
+    __slots__ = ("a", "b", "da", "db", "dab", "_tr")
 
     def __init__(self, a: PointSet, b: PointSet,
                  da: Optional[HullDecomposition] = None,
@@ -114,11 +118,62 @@ class Pair:
         self.da = classify_points(a) if da is None else da
         self.db = classify_points(b) if db is None else db
         self.dab = sum_decomposition(self.da, self.db) if dab is None else dab
+        self._tr: Optional[Tuple[int, int, int]] = None
 
     @property
     def unique(self) -> bool:
         """Whether every point of A + B has exactly one representation."""
         return len(self.dab.points) == len(self.a) * len(self.b)
+
+    @property
+    def boundary_only(self) -> bool:
+        return self.da.i == 0 and self.db.i == 0
+
+    @property
+    def tr(self) -> Tuple[int, int, int]:
+        """(tr(A), tr(B), tr(A + B)), computed on first use."""
+        if self._tr is None:
+            self._tr = tr_euler(self.da), tr_euler(self.db), tr_euler(self.dab)
+        return self._tr
+
+    @property
+    def main(self) -> Verdict:
+        """Verdict of sqrt(tr(A + B)) >= sqrt(tr(A)) + sqrt(tr(B))."""
+        tr_a, tr_b, tr_ab = self.tr
+        return sqrt_triple_compare(tr_ab, tr_a, tr_b)
+
+    @property
+    def count_form(self) -> bool:
+        da, db, dab = self.da, self.db, self.dab
+        return 2 * dab.i + dab.b >= 4 * da.i + 4 * db.i + 2 * da.b + 2 * db.b - 6
+
+    @property
+    def boundary_form(self) -> Optional[bool]:
+        """2 i_{A+B} >= b_A + b_B - 6; None unless the pair is boundary-only."""
+        if not self.boundary_only:
+            return None
+        return 2 * self.dab.i >= self.da.b + self.db.b - 6
+
+    @property
+    def case(self) -> Case:
+        """The first proved case the pair falls in, else ``GENERAL``."""
+        if self.unique:
+            return Case.UNIQUE_REPRESENTATION
+        if self.da.i == 1 and self.db.i == 1:
+            return Case.ONE_INTERIOR_EACH
+        if self.boundary_only:
+            return Case.BOUNDARY_ONLY
+        return Case.GENERAL
+
+    @property
+    def extremal(self) -> Optional[bool]:
+        """Whether the pair is {|A| = 3, B a translate of A + A}, up to roles;
+        None unless the boundary form fails."""
+        if self.boundary_form is not False:
+            return None
+        a, b = self.a, self.b
+        return ((len(a) == 3 and is_translate_of(b, minkowski_sum(a, a)))
+                or (len(b) == 3 and is_translate_of(a, minkowski_sum(b, b))))
 
 
 @dataclass(frozen=True)
@@ -149,44 +204,13 @@ def check_pair(a: PointSet, b: PointSet,
     """Full report for one pair. Decompositions may be supplied when cached."""
     p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
     da, db, dab = p.da, p.db, p.dab
-
-    tr_a, tr_b, tr_ab = tr_euler(da), tr_euler(db), tr_euler(dab)
-    main = sqrt_triple_compare(tr_ab, tr_a, tr_b)
-    strong = tr_ab >= 2 * (tr_a + tr_b)
-    ib = 2 * dab.i + dab.b >= 4 * da.i + 4 * db.i + 2 * da.b + 2 * db.b - 6
-
-    boundary_only = da.i == 0 and db.i == 0
-    boundary_form: Optional[bool] = None
-    if boundary_only:
-        boundary_form = 2 * dab.i >= da.b + db.b - 6
-
-    if p.unique:
-        case = Case.UNIQUE_REPRESENTATION
-    elif da.i == 1 and db.i == 1:
-        case = Case.ONE_INTERIOR_EACH
-    elif boundary_only:
-        case = Case.BOUNDARY_ONLY
-    else:
-        case = Case.GENERAL
-
-    extremal: Optional[bool] = None
-    if boundary_form is False:
-        extremal = _is_extremal_pair(a, b)
-
+    tr_a, tr_b, tr_ab = p.tr
     return ConjectureReport(
         tr_a=tr_a, tr_b=tr_b, tr_ab=tr_ab,
         b_a=da.b, i_a=da.i, b_b=db.b, i_b=db.i, b_ab=dab.b, i_ab=dab.i,
-        main=main, strong_holds=strong, ib_holds=ib,
-        boundary_form_holds=boundary_form, case=case, extremal=extremal,
+        main=p.main, strong_holds=tr_ab >= 2 * (tr_a + tr_b), ib_holds=p.count_form,
+        boundary_form_holds=p.boundary_form, case=p.case, extremal=p.extremal,
     )
-
-
-def _is_extremal_pair(a: PointSet, b: PointSet) -> bool:
-    if len(a) == 3 and is_translate_of(b, minkowski_sum(a, a)):
-        return True
-    if len(b) == 3 and is_translate_of(a, minkowski_sum(b, b)):
-        return True
-    return False
 
 
 def check_sum_boundary(a: PointSet, b: PointSet,
@@ -275,18 +299,11 @@ def check_unique_rep_bound(a: PointSet, b: PointSet,
     The roles are assigned so the larger triangulation count sits in the
     multiplied position. Also requires the main verdict not to fail.
     """
-    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
-    if not p.unique:
-        raise PreconditionViolated("pair does not have unique representation")
-    tr_a, tr_b, tr_ab = tr_euler(p.da), tr_euler(p.db), tr_euler(p.dab)
-    if tr_a < tr_b:
-        tr_a, tr_b = tr_b, tr_a
-        big_other = len(a)
-    else:
-        big_other = len(b)
-    bound_ok = tr_ab >= big_other * tr_a + tr_b
-    verdict = sqrt_triple_compare(tr_ab, tr_a, tr_b)
-    return bound_ok and verdict is not Verdict.FAILS
+    p = _pair_for("unique_rep", a, b, decomp_a, decomp_b, decomp_ab)
+    tr_a, tr_b, tr_ab = p.tr
+    big_other = len(b) if tr_a >= tr_b else len(a)
+    return (tr_ab >= big_other * max(tr_a, tr_b) + min(tr_a, tr_b)
+            and p.main is not Verdict.FAILS)
 
 
 def check_interior_bounds(a: PointSet, b: PointSet,
@@ -298,13 +315,11 @@ def check_interior_bounds(a: PointSet, b: PointSet,
     When both interiors are singletons the count form
     2 i_{A+B} + b_{A+B} >= 4 i_A + 4 i_B + 2 b_A + 2 b_B - 6 is verified too.
     """
-    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    p = _pair_for("interior", a, b, decomp_a, decomp_b, decomp_ab)
     da, db, dab = p.da, p.db, p.dab
-    if da.i < 1 or db.i < 1:
-        raise PreconditionViolated("both sets need at least one interior point")
     ok = dab.i >= da.i + len(b) - 1 and dab.i >= db.i + len(a) - 1
     if ok and da.i == 1 and db.i == 1:
-        ok = 2 * dab.i + dab.b >= 4 * da.i + 4 * db.i + 2 * da.b + 2 * db.b - 6
+        ok = p.count_form
     return ok
 
 
@@ -385,10 +400,8 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
     some configuration among (A,B,v), (A,B,-v), (B,A,v), (B,A,-v) exhibits
     the forced failure shape (first match reported).
     """
-    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    p = _pair_for("arcs", a, b, decomp_a, decomp_b, decomp_ab)
     da, db, dab = p.da, p.db, p.dab
-    if da.i != 0 or db.i != 0:
-        raise PreconditionViolated("arc structure check needs boundary-only sets")
     if v is None:
         v = generic_direction(da, db)
     i_ab = dab.i
@@ -401,7 +414,7 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
     arcs[(True, False)] = (arcs[(False, False)][1], arcs[(False, False)][0])
     arcs[(True, True)] = (arcs[(False, True)][1], arcs[(False, True)][0])
 
-    eq_form = 2 * dab.i >= da.b + db.b - 6
+    eq_form = p.boundary_form
 
     arc_a, arc_b = arcs[(False, False)]
     all_nonempty = all(len(s) for s in (arc_a.upp, arc_a.low, arc_b.upp, arc_b.low))
@@ -462,13 +475,42 @@ def check_extremal_classification(a: PointSet, b: PointSet,
                                   decomp_b: Optional[HullDecomposition] = None,
                                   decomp_ab: Optional[SumLike] = None) -> bool:
     """Boundary-form failures happen only for the triangle-plus-double family."""
-    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
-    da, db, dab = p.da, p.db, p.dab
-    if da.i != 0 or db.i != 0:
-        raise PreconditionViolated("classification applies to boundary-only sets")
-    if 2 * dab.i >= da.b + db.b - 6:
-        return True
-    return _is_extremal_pair(a, b)
+    p = _pair_for("classification", a, b, decomp_a, decomp_b, decomp_ab)
+    return p.boundary_form or p.extremal
+
+
+def _always(p: Pair) -> bool:
+    return True
+
+
+# The named side checks, in record column order: name -> (applies to the
+# pair, outcome for the pair). A sweep records a check that does not apply
+# as a skip; its public checker raises PreconditionViolated there.
+CHECKS: Dict[str, Tuple[Callable[[Pair], bool], Callable[[Pair], bool]]] = {
+    "freiman": (_always, lambda p: len(p.dab.points) >= len(p.a) + len(p.b) - 1),
+    "sum_boundary": (_always, lambda p: check_sum_boundary(
+        p.a, p.b, p.da, p.db, p.dab)),
+    "boundary_counts": (_always, lambda p: check_boundary_superadditivity(
+        p.a, p.b, p.da, p.db, p.dab).ok),
+    "unique_rep": (lambda p: p.unique, lambda p: check_unique_rep_bound(
+        p.a, p.b, p.da, p.db, p.dab)),
+    "interior": (lambda p: p.da.i >= 1 and p.db.i >= 1, lambda p: check_interior_bounds(
+        p.a, p.b, p.da, p.db, p.dab)),
+    "arcs": (lambda p: p.boundary_only, lambda p: check_arc_structure(
+        p.a, p.b, decomp_a=p.da, decomp_b=p.db, decomp_ab=p.dab).ok),
+    "classification": (lambda p: p.boundary_only, lambda p: check_extremal_classification(
+        p.a, p.b, p.da, p.db, p.dab)),
+}
+
+
+def _pair_for(check: str, a: PointSet, b: PointSet,
+              da: Optional[HullDecomposition], db: Optional[HullDecomposition],
+              dab: Optional[SumLike]) -> Pair:
+    """The pair, once it meets the precondition of the named check."""
+    p = Pair(a, b, da, db, dab)
+    if not CHECKS[check][0](p):
+        raise PreconditionViolated(f"the {check} check does not apply to this pair")
+    return p
 
 
 def equality_family(polygon: Union[Sequence[Coords], PointSet], k: int, m: int,

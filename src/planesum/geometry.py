@@ -219,11 +219,11 @@ class HullDecomposition:
 
     @property
     def b(self) -> int:
-        return len(self.boundary)
+        return len(self.boundary.points)
 
     @property
     def i(self) -> int:
-        return len(self.interior)
+        return len(self.interior.points)
 
     @cached_property
     def hull_edges(self) -> tuple:

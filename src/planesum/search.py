@@ -29,6 +29,7 @@ for summaries but kept out of record lines, which must be reproducible.
 from __future__ import annotations
 
 import functools
+import glob
 import hashlib
 import itertools
 import json
@@ -40,18 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .conjecture import (
-    ConjectureReport,
-    Pair,
-    Verdict,
-    check_arc_structure,
-    check_boundary_superadditivity,
-    check_extremal_classification,
-    check_interior_bounds,
-    check_pair,
-    check_sum_boundary,
-    check_unique_rep_bound,
-)
+from .conjecture import CHECKS, ConjectureReport, Pair, Verdict, check_pair
 from .errors import CapExceeded, ParseError, ResumeMismatch
 from .geometry import (
     HullDecomposition,
@@ -66,17 +56,11 @@ from .triangulation import lattice_points_in_hull
 
 GRID_CELL_CAP = 25
 
-CHECK_NAMES = (
-    "freiman",
-    "sum_boundary",
-    "boundary_counts",
-    "unique_rep",
-    "interior",
-    "arcs",
-    "classification",
-)
+CHECK_NAMES = tuple(CHECKS)
 
 FILTER_NAMES = ("boundary-only", "interior-both", "unique-rep")
+
+SYMMETRIES = ("translation", "dihedral")
 
 _DIHEDRAL = (
     lambda x, y: (x, y),
@@ -90,10 +74,16 @@ _DIHEDRAL = (
 )
 
 
+def _check_symmetry(symmetry: str) -> None:
+    if symmetry not in SYMMETRIES:
+        raise ValueError(f"unknown symmetry {symmetry!r}, expected one of {SYMMETRIES}")
+
+
 def _canonical(points: Iterable[Point], symmetry: str) -> PointSet:
     base = canonical_translate(PointSet(points))
     if symmetry == "translation":
         return base
+    _check_symmetry(symmetry)
     best = base
     for f in _DIHEDRAL[1:]:
         cand = canonical_translate(PointSet(Point(*f(p.x, p.y)) for p in base))
@@ -111,18 +101,8 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
     first-encounter order over ascending subset size and lexicographic
     combinations.
     """
-    if grid_w < 1 or grid_h < 1:
-        raise ValueError("grid dimensions must be positive")
-    if grid_w * grid_h > GRID_CELL_CAP:
-        raise CapExceeded(
-            f"{grid_w}x{grid_h} grid has {grid_w * grid_h} cells, cap is {GRID_CELL_CAP}"
-        )
-    if min_pts < 3:
-        raise ValueError("min_pts must be at least 3: smaller sets are collinear")
-    if max_pts < min_pts:
-        raise ValueError("max_pts must be at least min_pts")
-    if symmetry not in ("translation", "dihedral"):
-        raise ValueError(f"unknown symmetry {symmetry!r}")
+    _check_grid(grid_w, grid_h, min_pts, max_pts, capped=True)
+    _check_symmetry(symmetry)
     grid = _grid_points(grid_w, grid_h)
     seen = set()
     for size in range(min_pts, min(max_pts, len(grid)) + 1):
@@ -148,12 +128,26 @@ def _check_grid_has_area(grid_w: int, grid_h: int) -> None:
                          "both dimensions must be at least 2")
 
 
+def _check_grid(grid_w: int, grid_h: int, min_pts: int, max_pts: Optional[int],
+                capped: bool) -> None:
+    """Grid and set-size bounds; the cell cap only where ``capped``."""
+    if grid_w < 1 or grid_h < 1:
+        raise ValueError("grid dimensions must be positive")
+    if capped and grid_w * grid_h > GRID_CELL_CAP:
+        raise CapExceeded(
+            f"{grid_w}x{grid_h} grid has {grid_w * grid_h} cells, cap is {GRID_CELL_CAP}"
+        )
+    if min_pts < 3:
+        raise ValueError("min_pts must be at least 3: smaller sets are collinear")
+    if max_pts is not None and max_pts < min_pts:
+        raise ValueError("max_pts must be at least min_pts")
+
+
 def random_point_set(rng: random.Random, grid_w: int, grid_h: int,
                      min_pts: int, max_pts: int) -> PointSet:
     """Uniform random non-collinear grid subset (size uniform in range)."""
-    if min_pts < 3:
-        raise ValueError("min_pts must be at least 3")
     _check_grid_has_area(grid_w, grid_h)
+    _check_grid(grid_w, grid_h, min_pts, max_pts, capped=False)
     return PointSet(_draw(rng, _grid_points(grid_w, grid_h), min_pts, max_pts))
 
 
@@ -227,15 +221,9 @@ class SearchConfig:
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_grid_has_area(self.grid_w, self.grid_h)
-        if self.mode == "exhaustive" and self.grid_w * self.grid_h > GRID_CELL_CAP:
-            raise CapExceeded(
-                f"exhaustive sweep over {self.grid_w}x{self.grid_h} exceeds "
-                f"the {GRID_CELL_CAP}-cell cap"
-            )
-        if self.min_pts < 3:
-            raise ValueError("min_pts must be at least 3: smaller sets are collinear")
-        if self.max_pts is not None and self.max_pts < self.min_pts:
-            raise ValueError("max_pts must be at least min_pts")
+        _check_grid(self.grid_w, self.grid_h, self.min_pts, self.max_pts,
+                    capped=self.mode == "exhaustive")
+        _check_symmetry(self.symmetry)
         if self.mode == "random" and self.count < 1:
             raise ValueError("random mode needs count >= 1")
         if self.workers < 1:
@@ -352,47 +340,15 @@ def _passes_set_filters(cfg: SearchConfig, d: HullDecomposition) -> bool:
     return True
 
 
-def _passes_sum_filters(cfg: SearchConfig, pair: Pair) -> bool:
-    for f in cfg.filters:
-        if f == "unique-rep":
-            if not pair.unique:
-                return False
-    return True
-
-
-def _evaluate_checks(cfg: SearchConfig, pair: Pair) -> Dict[str, Optional[bool]]:
-    out: Dict[str, Optional[bool]] = {}
-    a, b, da, db, dab = pair.a, pair.b, pair.da, pair.db, pair.dab
-    boundary_only = da.i == 0 and db.i == 0
-    for name in cfg.checks:
-        if name == "freiman":
-            out[name] = len(dab.points) >= len(a) + len(b) - 1
-        elif name == "sum_boundary":
-            out[name] = check_sum_boundary(a, b, da, db, dab)
-        elif name == "boundary_counts":
-            out[name] = check_boundary_superadditivity(a, b, da, db, dab).ok
-        elif name == "unique_rep":
-            out[name] = check_unique_rep_bound(a, b, da, db, dab) if pair.unique else None
-        elif name == "interior":
-            applies = da.i >= 1 and db.i >= 1
-            out[name] = check_interior_bounds(a, b, da, db, dab) if applies else None
-        elif name == "arcs":
-            if boundary_only:
-                out[name] = check_arc_structure(
-                    a, b, decomp_a=da, decomp_b=db, decomp_ab=dab).ok
-            else:
-                out[name] = None
-        elif name == "classification":
-            if boundary_only:
-                out[name] = check_extremal_classification(a, b, da, db, dab)
-            else:
-                out[name] = None
-    return out
-
-
 def _shard_paths(cfg: SearchConfig, shard: int) -> Tuple[str, str]:
     base = f"{cfg.checkpoint_path}.shard{shard:03d}"
     return base + ".records", base + ".json"
+
+
+def _shard_files(cfg: SearchConfig) -> List[str]:
+    """Every shard file under the checkpoint prefix, whatever the worker
+    count of the run that wrote it."""
+    return sorted(glob.glob(glob.escape(f"{cfg.checkpoint_path}.shard") + "[0-9]*"))
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -402,40 +358,40 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def _load_shard_state(state_path: str, fingerprint: str) -> Optional[dict]:
+def _read_state(state_path: str) -> Optional[dict]:
     if not os.path.exists(state_path):
         return None
     with open(state_path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
-    if state.get("config") != fingerprint:
-        raise ResumeMismatch(
-            f"checkpoint {state_path} was written by a different configuration"
-        )
-    return state
+        return json.load(fh)
 
 
 _CHECKPOINT_EVERY = 512
 
 
-def run_shard(cfg_kwargs: dict, shard: int) -> int:
-    """Evaluate one shard's pairs, appending records and checkpointing.
+def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
+    """Evaluate one shard's pairs of a normalized config, appending records
+    and checkpointing.
 
-    Returns the number of records in the completed shard file. Safe to call
-    again after a crash: the checkpoint stores how many of the shard's pairs
-    were fully handled (``visited``) and how many record lines those produced
+    Returns the tally of the completed shard file. Safe to call again after
+    a crash: the checkpoint stores how many of the shard's pairs were fully
+    handled (``visited``) and how many record lines those produced
     (``records``, smaller when filters drop pairs); resuming truncates the
     record file to that many lines, re-tallies them and skips that many
-    pairs. The final checkpoint also stores the shard's ``tally``.
+    pairs. The final checkpoint also stores the shard's ``tally``, which a
+    call on a complete shard returns.
     """
-    cfg = SearchConfig(**cfg_kwargs)
     fingerprint = cfg.fingerprint()
     records_path, state_path = _shard_paths(cfg, shard)
-    state = _load_shard_state(state_path, fingerprint)
+    state = _read_state(state_path)
+    if state is not None and state.get("config") != fingerprint:
+        raise ResumeMismatch(
+            f"checkpoint {state_path} was written by a different configuration"
+        )
     visited_done = 0
     records_done = 0
     if state is not None and os.path.exists(records_path):
         if state.get("complete"):
-            return int(state["records"])
+            return ReportTally(**state["tally"])
         visited_done = int(state.get("visited", 0))
         records_done = int(state.get("records", 0))
     kept: List[str] = []
@@ -452,8 +408,9 @@ def run_shard(cfg_kwargs: dict, shard: int) -> int:
 
     decomp = functools.cache(classify_points)
     set_id = functools.cache(serialize_set_id)
+    checks_run = [(name, CHECKS[name]) for name in cfg.checks]
+    unique_only = "unique-rep" in cfg.filters
     visited = visited_done
-    records = records_done
     with open(records_path, "a", encoding="utf-8") as out:
         for a, b in itertools.islice(_pair_stream(cfg, shard), visited_done, None):
             visited += 1
@@ -461,28 +418,28 @@ def run_shard(cfg_kwargs: dict, shard: int) -> int:
             da = decomp(a)
             if _passes_set_filters(cfg, da) and _passes_set_filters(cfg, db := decomp(b)):
                 pair = Pair(a, b, da, db)
-                if _passes_sum_filters(cfg, pair):
+                if not unique_only or pair.unique:
                     report = check_pair(a, b, da, db, pair.dab)
-                    checks = _evaluate_checks(cfg, pair)
+                    checks = {name: outcome(pair) if applies(pair) else None
+                              for name, (applies, outcome) in checks_run}
                     line = SearchRecord(a_id=set_id(a), b_id=set_id(b), report=report,
                                         checks=checks,
                                         walltime=time.perf_counter() - t0).line()
                     out.write(line + "\n")
-                    records += 1
                     tally.add(line, report.main.value, report.case.value,
                               False in checks.values())
             if visited % _CHECKPOINT_EVERY == 0:
                 out.flush()
                 _atomic_write(state_path, json.dumps({
                     "config": fingerprint, "visited": visited,
-                    "records": records, "complete": False,
+                    "records": tally.records, "complete": False,
                 }))
         out.flush()
     _atomic_write(state_path, json.dumps({
-        "config": fingerprint, "visited": visited, "records": records,
+        "config": fingerprint, "visited": visited, "records": tally.records,
         "complete": True, "tally": asdict(tally),
     }))
-    return records
+    return tally
 
 
 @dataclass
@@ -511,6 +468,10 @@ class ReportTally:
     fails: List[str] = field(default_factory=list)  # main=Fails
     check_failures: List[str] = field(default_factory=list)  # some named check false
     flagged: List[str] = field(default_factory=list)  # either, each line once, in order
+
+    @property
+    def records(self) -> int:
+        return sum(self.verdicts.values())
 
     def add(self, line: str, main: str, case: str, check_failed: bool) -> None:
         self.verdicts[main] += 1
@@ -568,29 +529,30 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
     fingerprint = cfg.fingerprint()
     t0 = time.perf_counter()
 
-    # surface a stale checkpoint before spawning anything
-    for shard in range(cfg.workers):
-        _, state_path = _shard_paths(cfg, shard)
-        _load_shard_state(state_path, fingerprint)
+    # surface a stale checkpoint before spawning anything, naming every file
+    # of its shards: with another worker count that run may have had more
+    files = _shard_files(cfg)
+    stale = tuple(path[:-len("json")] for path in files if path.endswith(".json")
+                  and _read_state(path).get("config") != fingerprint)
+    if stale:
+        raise ResumeMismatch("checkpoint files written by a different configuration; "
+                             "remove them to start afresh: "
+                             + " ".join(path for path in files if path.startswith(stale)))
 
-    cfg_kwargs = asdict(cfg)
     processes = min(cfg.workers, _usable_cpus())
     if processes == 1:
-        for shard in range(cfg.workers):
-            run_shard(cfg_kwargs, shard)
+        parts = [run_shard(cfg, shard) for shard in range(cfg.workers)]
     else:
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = [pool.submit(run_shard, cfg_kwargs, k) for k in range(cfg.workers)]
-            for fut in futures:
-                fut.result()
+            futures = [pool.submit(run_shard, cfg, k) for k in range(cfg.workers)]
+            parts = [fut.result() for fut in futures]
 
     lines: List[str] = []
     tally = ReportTally()
-    for shard in range(cfg.workers):
-        records_path, state_path = _shard_paths(cfg, shard)
+    for shard, part in enumerate(parts):
+        records_path, _ = _shard_paths(cfg, shard)
         with open(records_path, "r", encoding="utf-8") as fh:
             lines.extend(line.rstrip("\n") for line in fh if line.strip())
-        part = ReportTally(**_load_shard_state(state_path, fingerprint)["tally"])
         for verdict, n in part.verdicts.items():
             tally.verdicts[verdict] += n
         tally.fails += part.fails
@@ -598,11 +560,8 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
     lines.sort()
     _atomic_write(cfg.report_path, "".join(line + "\n" for line in lines))
 
-    for shard in range(cfg.workers):
-        records_path, state_path = _shard_paths(cfg, shard)
-        for path in (records_path, state_path):
-            if os.path.exists(path):
-                os.remove(path)
+    for path in _shard_files(cfg):
+        os.remove(path)
 
     # both lists are subsequences of the sorted report
     tally.fails.sort()

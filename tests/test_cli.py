@@ -1,11 +1,14 @@
 import pytest
 
+import planesum.cli as cli_mod
 from planesum import PointSet, save_point_set
 from planesum.cli import cli_dispatch
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 TRI_DOUBLE = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
 SIMPLEX3 = PointSet([(x, y) for x in range(4) for y in range(4) if x + y <= 3])
+FAR_TRI = PointSet([(0, 0), (10, 0), (0, 10)])
+PLUS_SQUARE = PointSet([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
 
 
 @pytest.fixture
@@ -66,6 +69,20 @@ class TestClassify:
         code = cli_dispatch(["classify", pts("a.pts", TRI), pts("b.pts", TRI_DOUBLE)])
         assert code == 0
         assert capsys.readouterr().out.strip() == "case=BoundaryOnly extremal=holds"
+
+    @pytest.mark.parametrize("a, b, expected", [
+        (TRI, FAR_TRI, "case=UniqueRepresentation extremal=none"),
+        (PLUS_SQUARE, PLUS_SQUARE, "case=OneInteriorEach extremal=none"),
+        (TRI, TRI, "case=BoundaryOnly extremal=none"),
+        (TRI, PLUS_SQUARE, "case=General extremal=none"),
+    ])
+    def test_each_case_as_check_reports_it(self, pts, capsys, monkeypatch, a, b, expected):
+        args = [pts("a.pts", a), pts("b.pts", b)]
+        assert cli_dispatch(["check", *args]) == 0
+        check_line = capsys.readouterr().out.splitlines()[-1]
+        monkeypatch.setattr(cli_mod, "check_pair", None)  # classify needs no report
+        assert cli_dispatch(["classify", *args]) == 0
+        assert capsys.readouterr().out.strip() == expected == check_line
 
 
 class TestSearch:

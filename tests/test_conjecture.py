@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from planesum import (
     Case,
     Direction,
+    Pair,
     PointSet,
     PreconditionViolated,
     Verdict,
@@ -23,6 +24,7 @@ from planesum import (
     sqrt_triple_compare,
     unique_representation,
 )
+from planesum.conjecture import CHECKS
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 TRI_DOUBLE = minkowski_sum(TRI, TRI)
@@ -151,6 +153,67 @@ class TestCheckPair:
     def test_main_inequality_on_small_sets(self, a, b):
         # no counterexample is known; random small instances must all hold
         assert check_pair(a, b).main is not Verdict.FAILS
+
+
+class TestPair:
+    @given(noncollinear, noncollinear)
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_and_oracle_sums_give_the_same_facts(self, a, b):
+        kernel = Pair(a, b)
+        oracle = Pair(a, b, dab=classify_points(minkowski_sum(a, b)))
+        for fact in ("case", "boundary_form", "count_form", "extremal", "tr", "main"):
+            assert getattr(kernel, fact) == getattr(oracle, fact), fact
+
+    def test_extremal_pair_seen_by_the_oracle_too(self):
+        oracle = Pair(TRI_DOUBLE, TRI, dab=classify_points(minkowski_sum(TRI_DOUBLE, TRI)))
+        assert (oracle.case, oracle.boundary_form, oracle.extremal) == (
+            Case.BOUNDARY_ONLY, False, True)
+
+
+# every named check but freiman has a public checker
+PUBLIC_CHECKERS = {
+    "sum_boundary": check_sum_boundary,
+    "boundary_counts": lambda *args: check_boundary_superadditivity(*args).ok,
+    "unique_rep": check_unique_rep_bound,
+    "interior": check_interior_bounds,
+    "arcs": lambda a, b, da=None, db=None, dab=None: check_arc_structure(
+        a, b, decomp_a=da, decomp_b=db, decomp_ab=dab).ok,
+    "classification": check_extremal_classification,
+}
+
+
+def _assert_checks_match_checkers(a, b):
+    p = Pair(a, b)
+    for name, checker in PUBLIC_CHECKERS.items():
+        applies, outcome = CHECKS[name]
+        if applies(p):
+            assert checker(a, b, p.da, p.db, p.dab) == outcome(p), name
+        else:
+            with pytest.raises(PreconditionViolated):
+                checker(a, b, p.da, p.db, p.dab)
+            with pytest.raises(PreconditionViolated):
+                checker(a, b)
+
+
+class TestCheckRegistry:
+    def test_record_column_order(self):
+        assert tuple(CHECKS) == ("freiman", "sum_boundary", "boundary_counts",
+                                 "unique_rep", "interior", "arcs", "classification")
+        assert set(PUBLIC_CHECKERS) == set(CHECKS) - {"freiman"}
+
+    @pytest.mark.parametrize("a, b", [
+        (TRI, TRI),  # boundary-only
+        (TRI, PointSet([(0, 0), (10, 0), (0, 10)])),  # unique, boundary-only
+        (PLUS_SQUARE, PLUS_SQUARE),  # interior on both sides
+        (TRI, PLUS_SQUARE),  # interior on one side only
+    ])
+    def test_applies_exactly_where_the_checker_has_no_precondition_error(self, a, b):
+        _assert_checks_match_checkers(a, b)
+
+    @given(noncollinear, noncollinear)
+    @settings(max_examples=60, deadline=None)
+    def test_applies_on_random_pairs(self, a, b):
+        _assert_checks_match_checkers(a, b)
 
 
 class TestSumBoundary:

@@ -9,6 +9,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+import planesum.conjecture as conjecture_mod
 import planesum.search as search_mod
 from planesum import (
     CapExceeded,
@@ -168,6 +169,36 @@ class TestSearchConfig:
             SearchConfig(grid_w=4, grid_h=4, mode="random", count=5, min_pts=5,
                          max_pts=4).validate()
 
+    @pytest.mark.parametrize("min_pts, max_pts, match", [(2, 4, "min_pts"),
+                                                         (5, 4, "max_pts")])
+    def test_entry_points_share_size_checks(self, min_pts, max_pts, match):
+        errors = []
+        for make in (
+            lambda: list(enumerate_point_sets(3, 3, min_pts, max_pts)),
+            lambda: random_point_set(random.Random(0), 3, 3, min_pts, max_pts),
+            lambda: SearchConfig(grid_w=3, grid_h=3, min_pts=min_pts,
+                                 max_pts=max_pts).validate(),
+            lambda: SearchConfig(grid_w=3, grid_h=3, mode="random", count=5,
+                                 min_pts=min_pts, max_pts=max_pts).validate(),
+        ):
+            with pytest.raises(ValueError, match=match) as info:
+                make()
+            errors.append(str(info.value))
+        assert len(set(errors)) == 1
+
+    @pytest.mark.parametrize("mode, count", [("exhaustive", 0), ("random", 5)])
+    def test_unknown_symmetry_rejected(self, tmp_path, mode, count):
+        # any value but "translation" used to run as dihedral
+        cfg = SearchConfig(grid_w=3, grid_h=3, mode=mode, count=count, symmetry="bogus",
+                           report_path=str(tmp_path / "r.txt"))
+        with pytest.raises(ValueError, match="bogus"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="bogus"):
+            run_search(cfg)
+        with pytest.raises(ValueError, match="bogus"):
+            next(search_mod._pair_stream(cfg.normalized(), 0))
+        assert not list(tmp_path.iterdir())
+
     def test_exhaustive_cap(self):
         with pytest.raises(CapExceeded):
             SearchConfig(grid_w=6, grid_h=6).validate()
@@ -273,34 +304,28 @@ class TestShardedStream:
         assert list(search_mod._pair_stream(cfg, 0)) == expected
 
 
-def _cfg_kwargs(cfg: SearchConfig) -> dict:
-    return asdict(cfg.normalized())
-
-
 class TestRunShard:
     def test_complete_shard_short_circuits(self, tmp_path, monkeypatch):
         cfg = SearchConfig(grid_w=2, grid_h=2, checks=("freiman",),
-                           report_path=str(tmp_path / "r.txt"))
-        kwargs = _cfg_kwargs(cfg)
-        n = run_shard(kwargs, 0)
-        assert n == 15  # 5 classes -> C(5,2) + 5 diagonal pairs
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        tally = run_shard(cfg, 0)
+        assert tally.records == 15  # 5 classes -> C(5,2) + 5 diagonal pairs
 
         def boom(*args, **kw):
             raise AssertionError("should not recompute a complete shard")
 
         monkeypatch.setattr(search_mod, "check_pair", boom)
-        assert run_shard(kwargs, 0) == 15
+        assert run_shard(cfg, 0) == tally
 
     def test_resume_mismatch_detected(self, tmp_path):
-        cfg = SearchConfig(grid_w=2, grid_h=2, report_path=str(tmp_path / "r.txt"))
-        kwargs = _cfg_kwargs(cfg)
-        norm = SearchConfig(**kwargs)
-        _, state_path = search_mod._shard_paths(norm, 0)
+        cfg = SearchConfig(grid_w=2, grid_h=2,
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        _, state_path = search_mod._shard_paths(cfg, 0)
         with open(state_path, "w") as fh:
             json.dump({"config": "deadbeef", "visited": 3, "records": 3,
                        "complete": False}, fh)
         with pytest.raises(ResumeMismatch):
-            run_shard(kwargs, 0)
+            run_shard(cfg, 0)
 
     def test_hash_sharded_checkpoint_rejected(self, tmp_path):
         # the fingerprint of the scheme that assigned pairs to shards by a
@@ -316,7 +341,7 @@ class TestRunShard:
         with open(state_path, "w") as fh:
             json.dump({"config": old, "visited": 7, "records": 7, "complete": True}, fh)
         with pytest.raises(ResumeMismatch):
-            run_shard(asdict(cfg), 0)
+            run_shard(cfg, 0)
         with pytest.raises(ResumeMismatch):
             run_search(cfg)
 
@@ -324,14 +349,14 @@ class TestRunShard:
         cfg = SearchConfig(grid_w=3, grid_h=3, max_pts=4, workers=2,
                            checks=("interior", "arcs"),
                            report_path=str(tmp_path / "r.txt")).normalized()
-        run_shard(asdict(cfg), 1)
+        tally = run_shard(cfg, 1)
         records_path, state_path = search_mod._shard_paths(cfg, 1)
         with open(records_path) as fh:
             lines = fh.read().splitlines()
         with open(state_path) as fh:
             state = json.load(fh)
         assert state["complete"] and state["records"] == len(lines) > 0
-        assert state["tally"] == asdict(search_mod.summarize_lines(lines))
+        assert state["tally"] == asdict(search_mod.summarize_lines(lines)) == asdict(tally)
 
     def test_second_summand_classified_only_when_first_passes(self, tmp_path, monkeypatch):
         cfg = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=4, count=200,
@@ -345,7 +370,7 @@ class TestRunShard:
             return real(s)
 
         monkeypatch.setattr(search_mod, "classify_points", spy)
-        run_shard(asdict(cfg), 0)
+        run_shard(cfg, 0)
         pairs = list(search_mod._pair_stream(cfg, 0))
         needed = {a for a, _ in pairs} | {b for a, b in pairs if real(a).i >= 1}
         assert classified == needed
@@ -354,14 +379,14 @@ class TestRunShard:
     def _crash_then_resume(self, tmp_path, monkeypatch, ref_cfg, crash_after,
                            checkpoint_every):
         """Run once clean, once with an injected crash, resume, compare bytes."""
-        ref_kwargs = _cfg_kwargs(ref_cfg)
-        n_ref = run_shard(ref_kwargs, 0)
-        ref_records, _ = search_mod._shard_paths(SearchConfig(**ref_kwargs), 0)
+        ref_cfg = ref_cfg.normalized()
+        ref_tally = run_shard(ref_cfg, 0)
+        ref_records, _ = search_mod._shard_paths(ref_cfg, 0)
         with open(ref_records) as fh:
             ref_bytes = fh.read()
 
-        cfg = replace(ref_cfg, report_path=str(tmp_path / "crash.txt"))
-        kwargs = _cfg_kwargs(cfg)
+        cfg = replace(ref_cfg, report_path=str(tmp_path / "crash.txt"),
+                      checkpoint_path=None).normalized()
         monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY", checkpoint_every)
         real = search_mod.check_pair
         calls = {"n": 0}
@@ -374,18 +399,17 @@ class TestRunShard:
 
         monkeypatch.setattr(search_mod, "check_pair", flaky)
         with pytest.raises(RuntimeError):
-            run_shard(kwargs, 0)
+            run_shard(cfg, 0)
 
-        records_path, state_path = search_mod._shard_paths(SearchConfig(**kwargs), 0)
+        records_path, state_path = search_mod._shard_paths(cfg, 0)
         with open(state_path) as fh:
             state = json.load(fh)
         assert not state["complete"]
-        assert 0 < state["visited"] < kwargs["count"]
+        assert 0 < state["visited"] < cfg.count
         assert state["records"] <= state["visited"]
 
         monkeypatch.setattr(search_mod, "check_pair", real)
-        n_resumed = run_shard(kwargs, 0)
-        assert n_resumed == n_ref
+        assert run_shard(cfg, 0) == ref_tally
         with open(records_path) as fh:
             assert fh.read() == ref_bytes
         return state
@@ -513,6 +537,34 @@ class TestRunSearch:
         with pytest.raises(ResumeMismatch):
             run_search(cfg)
 
+    def test_stale_shards_of_another_worker_count(self, tmp_path):
+        old = SearchConfig(grid_w=3, grid_h=2, workers=4, checks=("freiman",),
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        for shard in range(4):
+            run_shard(old, shard)
+        files = sorted(str(p) for p in tmp_path.iterdir())
+        assert len(files) == 8  # state and records of shards 0-3, in that order
+        new = replace(old, workers=2)
+        with pytest.raises(ResumeMismatch) as info:
+            run_search(new)
+        assert all(path in str(info.value) for path in files)
+        # removing only the shards the new run uses is not enough
+        for path in files[:4]:
+            os.remove(path)
+        with pytest.raises(ResumeMismatch) as info:
+            run_search(new)
+        assert all(path in str(info.value) for path in files[4:])
+        for path in files[4:]:
+            os.remove(path)
+        # a shard killed before its first checkpoint leaves only its records
+        with open(files[-1], "w") as fh:
+            fh.write("partial line\n")
+        summary = run_search(new)
+        assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
+        lone = run_search(replace(old, workers=1, checkpoint_path=None,
+                                  report_path=str(tmp_path / "w1.txt")))
+        assert _read(summary.report_path) == _read(lone.report_path)
+
     @pytest.mark.parametrize("cpus, workers, pools", [
         ({0, 1}, 5, [2]),  # more shards than CPUs: the pool is capped
         ({0, 1, 2, 3}, 3, [3]),
@@ -563,7 +615,7 @@ class TestRunSearch:
             return report
 
         monkeypatch.setattr(search_mod, "check_pair", forced)
-        monkeypatch.setattr(search_mod, "check_sum_boundary",
+        monkeypatch.setattr(conjecture_mod, "check_sum_boundary",
                             lambda a, b, *rest: len(a) != len(b))
         ref_cfg = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=8, count=120,
                                max_pts=6, checks=("sum_boundary",), workers=2,
