@@ -40,6 +40,7 @@ from .geometry import (
     cones_intersect,
     convex_hull,
     generic_direction,
+    interior_count,
     is_ap_same_difference,
     normal_cone,
     orientation,
@@ -95,7 +96,7 @@ __all__ = [
     "check_interior_bounds", "check_pair", "check_sum_boundary",
     "check_unique_rep_bound", "classify_points", "cones_intersect",
     "convex_hull", "enumerate_point_sets", "equality_family",
-    "generic_direction", "is_ap_same_difference", "is_lattice_saturated",
+    "generic_direction", "interior_count", "is_ap_same_difference", "is_lattice_saturated",
     "is_translate_of", "lattice_points_in_hull", "load_point_set",
     "minkowski_sum", "normal_cone", "orientation", "parse_point_set",
     "random_point_set", "random_saturated_set", "run_search",

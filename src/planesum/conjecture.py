@@ -41,7 +41,8 @@ and A + B, and reads them through one ``Pair``, which builds whichever is
 missing: the summands with ``classify_points``, the sum with the merged-hull
 kernel ``sum_decomposition``. ``CHECKS`` is the registry of the named side
 checks a sweep records: for each, whether it applies to a pair and its
-outcome there.
+outcome there. The outcomes are the checkers' bodies, which take the
+``Pair`` itself, so a sweep builds one ``Pair`` per pair.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegeneratePolygon, PreconditionViolated
 from .geometry import (
+    ArcDecomposition,
     Coords,
     Direction,
     HullDecomposition,
@@ -130,6 +132,10 @@ class Pair:
         return self.da.i == 0 and self.db.i == 0
 
     @property
+    def one_interior_each(self) -> bool:
+        return self.da.i == 1 and self.db.i == 1
+
+    @property
     def tr(self) -> Tuple[int, int, int]:
         """(tr(A), tr(B), tr(A + B)), computed on first use."""
         if self._tr is None:
@@ -159,7 +165,7 @@ class Pair:
         """The first proved case the pair falls in, else ``GENERAL``."""
         if self.unique:
             return Case.UNIQUE_REPRESENTATION
-        if self.da.i == 1 and self.db.i == 1:
+        if self.one_interior_each:
             return Case.ONE_INTERIOR_EACH
         if self.boundary_only:
             return Case.BOUNDARY_ONLY
@@ -174,6 +180,18 @@ class Pair:
         a, b = self.a, self.b
         return ((len(a) == 3 and is_translate_of(b, minkowski_sum(a, a)))
                 or (len(b) == 3 and is_translate_of(a, minkowski_sum(b, b))))
+
+    def report(self) -> "ConjectureReport":
+        """Every count and verdict of the pair, as ``check_pair`` gives it."""
+        da, db, dab = self.da, self.db, self.dab
+        tr_a, tr_b, tr_ab = self.tr
+        return ConjectureReport(
+            tr_a=tr_a, tr_b=tr_b, tr_ab=tr_ab,
+            b_a=da.b, i_a=da.i, b_b=db.b, i_b=db.i, b_ab=dab.b, i_ab=dab.i,
+            main=self.main, strong_holds=tr_ab >= 2 * (tr_a + tr_b),
+            ib_holds=self.count_form, boundary_form_holds=self.boundary_form,
+            case=self.case, extremal=self.extremal,
+        )
 
 
 @dataclass(frozen=True)
@@ -202,15 +220,7 @@ def check_pair(a: PointSet, b: PointSet,
                decomp_b: Optional[HullDecomposition] = None,
                decomp_ab: Optional[SumLike] = None) -> ConjectureReport:
     """Full report for one pair. Decompositions may be supplied when cached."""
-    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
-    da, db, dab = p.da, p.db, p.dab
-    tr_a, tr_b, tr_ab = p.tr
-    return ConjectureReport(
-        tr_a=tr_a, tr_b=tr_b, tr_ab=tr_ab,
-        b_a=da.b, i_a=da.i, b_b=db.b, i_b=db.i, b_ab=dab.b, i_ab=dab.i,
-        main=p.main, strong_holds=tr_ab >= 2 * (tr_a + tr_b), ib_holds=p.count_form,
-        boundary_form_holds=p.boundary_form, case=p.case, extremal=p.extremal,
-    )
+    return Pair(a, b, decomp_a, decomp_b, decomp_ab).report()
 
 
 def check_sum_boundary(a: PointSet, b: PointSet,
@@ -224,7 +234,10 @@ def check_sum_boundary(a: PointSet, b: PointSet,
     a half turn meet exactly when one contains the other's first ray, so
     two containment tests give the answer of ``cones_intersect``.
     """
-    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    return _sum_boundary(_pair_for("sum_boundary", a, b, decomp_a, decomp_b, decomp_ab))
+
+
+def _sum_boundary(p: Pair) -> bool:
     sum_boundary = p.dab.boundary
     rows_b = p.db.cone_rows
     for px, py, ca in p.da.cone_rows:
@@ -274,7 +287,11 @@ def check_boundary_superadditivity(
     more than one boundary point): wherever both support sets have at least
     two points they must be same-difference progressions.
     """
-    p = Pair(a, b, decomp_a, decomp_b, decomp_ab)
+    return _boundary_counts(_pair_for("boundary_counts", a, b, decomp_a, decomp_b,
+                                      decomp_ab))
+
+
+def _boundary_counts(p: Pair) -> BoundaryCountResult:
     da, db, dab = p.da, p.db, p.dab
     holds = dab.b >= da.b + db.b
     equality = dab.b == da.b + db.b
@@ -299,9 +316,12 @@ def check_unique_rep_bound(a: PointSet, b: PointSet,
     The roles are assigned so the larger triangulation count sits in the
     multiplied position. Also requires the main verdict not to fail.
     """
-    p = _pair_for("unique_rep", a, b, decomp_a, decomp_b, decomp_ab)
+    return _unique_rep(_pair_for("unique_rep", a, b, decomp_a, decomp_b, decomp_ab))
+
+
+def _unique_rep(p: Pair) -> bool:
     tr_a, tr_b, tr_ab = p.tr
-    big_other = len(b) if tr_a >= tr_b else len(a)
+    big_other = len(p.b) if tr_a >= tr_b else len(p.a)
     return (tr_ab >= big_other * max(tr_a, tr_b) + min(tr_a, tr_b)
             and p.main is not Verdict.FAILS)
 
@@ -315,10 +335,13 @@ def check_interior_bounds(a: PointSet, b: PointSet,
     When both interiors are singletons the count form
     2 i_{A+B} + b_{A+B} >= 4 i_A + 4 i_B + 2 b_A + 2 b_B - 6 is verified too.
     """
-    p = _pair_for("interior", a, b, decomp_a, decomp_b, decomp_ab)
+    return _interior(_pair_for("interior", a, b, decomp_a, decomp_b, decomp_ab))
+
+
+def _interior(p: Pair) -> bool:
     da, db, dab = p.da, p.db, p.dab
-    ok = dab.i >= da.i + len(b) - 1 and dab.i >= db.i + len(a) - 1
-    if ok and da.i == 1 and db.i == 1:
+    ok = dab.i >= da.i + len(p.b) - 1 and dab.i >= db.i + len(p.a) - 1
+    if ok and p.one_interior_each:
         ok = p.count_form
     return ok
 
@@ -400,7 +423,22 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
     some configuration among (A,B,v), (A,B,-v), (B,A,v), (B,A,-v) exhibits
     the forced failure shape (first match reported).
     """
-    p = _pair_for("arcs", a, b, decomp_a, decomp_b, decomp_ab)
+    return _arcs(_pair_for("arcs", a, b, decomp_a, decomp_b, decomp_ab), v)
+
+
+def _low_arc_flat(arc: ArcDecomposition) -> bool:
+    """Whether the lower arc lies on the segment [l, r]."""
+    return all(_on_segment(q, arc.l, arc.r) for q in arc.low)
+
+
+def _extreme_segments_parallel(arc_x: ArcDecomposition, arc_y: ArcDecomposition) -> bool:
+    """Whether the segments [l, r] of the two arc splits are parallel."""
+    seg_x = arc_x.r - arc_x.l
+    seg_y = arc_y.r - arc_y.l
+    return seg_x[0] * seg_y[1] - seg_x[1] * seg_y[0] == 0
+
+
+def _arcs(p: Pair, v: Optional[Direction] = None) -> StructureReport:
     da, db, dab = p.da, p.db, p.dab
     if v is None:
         v = generic_direction(da, db)
@@ -430,10 +468,8 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
             equality = i_ab == len(arc_y.upp) - 2
             flat = parallel = None
             if equality:
-                flat = all(_on_segment(p, arc_y.l, arc_y.r) for p in arc_y.low)
-                seg_x = arc_x.r - arc_x.l
-                seg_y = arc_y.r - arc_y.l
-                parallel = seg_x[0] * seg_y[1] - seg_x[1] * seg_y[0] == 0
+                flat = _low_arc_flat(arc_y)
+                parallel = _extreme_segments_parallel(arc_x, arc_y)
             bound_checks.append(ArcBoundCheck(
                 swapped=swapped, flipped=flipped, bound_ok=bound_ok,
                 equality=equality, low_flat_ok=flat, parallel_ok=parallel,
@@ -445,18 +481,14 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
         for swapped, flipped in ((False, False), (False, True), (True, False), (True, True)):
             arc_x, arc_y = arcs[(swapped, flipped)]
             b_x, b_y = (by, bx) if swapped else (bx, by)
-            x_low_empty = not len(arc_x.low)
-            y_low_flat = all(_on_segment(p, arc_y.l, arc_y.r) for p in arc_y.low)
-            seg_x = arc_x.r - arc_x.l
-            seg_y = arc_y.r - arc_y.l
-            parallel = seg_x[0] * seg_y[1] - seg_x[1] * seg_y[0] == 0
             size_rel = (
                 (not len(arc_y.low) and b_y == b_x)
                 or (len(arc_y.upp) == len(arc_x.upp) + len(arc_y.low) + 1 and b_y > b_x)
             )
             cand = FailureShape(
-                swapped=swapped, flipped=flipped, x_low_empty=x_low_empty,
-                y_low_flat=y_low_flat, segments_parallel=parallel,
+                swapped=swapped, flipped=flipped, x_low_empty=not len(arc_x.low),
+                y_low_flat=_low_arc_flat(arc_y),
+                segments_parallel=_extreme_segments_parallel(arc_x, arc_y),
                 size_relation=size_rel,
             )
             if cand.ok:
@@ -475,7 +507,11 @@ def check_extremal_classification(a: PointSet, b: PointSet,
                                   decomp_b: Optional[HullDecomposition] = None,
                                   decomp_ab: Optional[SumLike] = None) -> bool:
     """Boundary-form failures happen only for the triangle-plus-double family."""
-    p = _pair_for("classification", a, b, decomp_a, decomp_b, decomp_ab)
+    return _classification(_pair_for("classification", a, b, decomp_a, decomp_b,
+                                     decomp_ab))
+
+
+def _classification(p: Pair) -> bool:
     return p.boundary_form or p.extremal
 
 
@@ -488,18 +524,12 @@ def _always(p: Pair) -> bool:
 # as a skip; its public checker raises PreconditionViolated there.
 CHECKS: Dict[str, Tuple[Callable[[Pair], bool], Callable[[Pair], bool]]] = {
     "freiman": (_always, lambda p: len(p.dab.points) >= len(p.a) + len(p.b) - 1),
-    "sum_boundary": (_always, lambda p: check_sum_boundary(
-        p.a, p.b, p.da, p.db, p.dab)),
-    "boundary_counts": (_always, lambda p: check_boundary_superadditivity(
-        p.a, p.b, p.da, p.db, p.dab).ok),
-    "unique_rep": (lambda p: p.unique, lambda p: check_unique_rep_bound(
-        p.a, p.b, p.da, p.db, p.dab)),
-    "interior": (lambda p: p.da.i >= 1 and p.db.i >= 1, lambda p: check_interior_bounds(
-        p.a, p.b, p.da, p.db, p.dab)),
-    "arcs": (lambda p: p.boundary_only, lambda p: check_arc_structure(
-        p.a, p.b, decomp_a=p.da, decomp_b=p.db, decomp_ab=p.dab).ok),
-    "classification": (lambda p: p.boundary_only, lambda p: check_extremal_classification(
-        p.a, p.b, p.da, p.db, p.dab)),
+    "sum_boundary": (_always, _sum_boundary),
+    "boundary_counts": (_always, lambda p: _boundary_counts(p).ok),
+    "unique_rep": (lambda p: p.unique, _unique_rep),
+    "interior": (lambda p: p.da.i >= 1 and p.db.i >= 1, _interior),
+    "arcs": (lambda p: p.boundary_only, lambda p: _arcs(p).ok),
+    "classification": (lambda p: p.boundary_only, _classification),
 }
 
 

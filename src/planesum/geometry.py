@@ -150,7 +150,6 @@ def convex_hull(points: Union[PointSet, Iterable[Coords]]) -> tuple:
 
     The cycle starts at the lexicographically smallest point. A single point
     hulls to itself; a collinear set hulls to its two lexicographic extremes.
-    Monotone chain over the sorted points.
     """
     if isinstance(points, PointSet):
         pts = list(points.points)
@@ -160,18 +159,56 @@ def convex_hull(points: Union[PointSet, Iterable[Coords]]) -> tuple:
         raise ValueError("convex_hull of an empty set")
     if len(pts) == 1:
         return (pts[0],)
+    return tuple(_hull_chain(pts))
+
+
+def _hull_chain(pts: Sequence[tuple]) -> list:
+    """Monotone chain over at least two distinct points in lexicographic
+    order: the hull vertices as ``convex_hull`` orders them, of the same type
+    as the input (``Point``s or plain int tuples)."""
 
     def half(seq):
         chain = []
         for p in seq:
-            while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) <= 0:
+            x, y = p
+            while len(chain) >= 2:
+                ox, oy = chain[-2]
+                ax, ay = chain[-1]
+                # keep chain[-1] only on a strict left turn chain[-2] -> chain[-1] -> p
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break
                 chain.pop()
             chain.append(p)
         return chain
 
     lower = half(pts)
     upper = half(reversed(pts))
-    return tuple(lower[:-1] + upper[:-1])
+    return lower[:-1] + upper[:-1]
+
+
+def interior_count(coords: Iterable[Coords]) -> int:
+    """Number of points of the set strictly inside its convex hull.
+
+    Equals ``classify_points(coords).i`` on a non-collinear set and is 0 on
+    a collinear one, but builds no ``Point``, ``PointSet`` or decomposition.
+    """
+    pts = sorted(set(coords))
+    if len(pts) < 3:
+        return 0
+    hull = _hull_chain(pts)
+    if len(hull) == len(pts):
+        return 0
+    # edge a -> b as (dx, dy, k): p is strictly left of it iff dx*y - dy*x > k
+    edges = [(bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax)
+             for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1])]
+    count = 0
+    for x, y in pts:
+        for dx, dy, k in edges:
+            if dx * y - dy * x <= k:
+                break
+        else:
+            count += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -496,11 +533,12 @@ def arc_decomposition(points: Union[PointSet, HullDecomposition, Iterable[Coords
     return ArcDecomposition(v=v, l=l, r=r, upp=PointSet(upp), low=PointSet(low))
 
 
-def _collinear(pts: Sequence[Point]) -> bool:
+def _collinear(pts: Sequence[Coords]) -> bool:
     if len(pts) <= 2:
         return True
-    p0, p1 = pts[0], pts[1]
-    return all(orientation(p0, p1, p) == 0 for p in pts[2:])
+    (x0, y0), (x1, y1) = pts[0], pts[1]
+    dx, dy = x1 - x0, y1 - y0
+    return all(dx * (y - y0) == dy * (x - x0) for x, y in pts[2:])
 
 
 def is_ap_same_difference(c: Union[PointSet, Iterable[Coords]],

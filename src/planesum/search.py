@@ -13,7 +13,9 @@ Parallel runs stay reproducible by construction rather than by locking:
   row ``i`` of the sorted class list (every pair whose smaller set is class
   ``i``) belongs to shard ``i % workers``; in random mode draw ``k`` belongs
   to shard ``k % workers``, and every shard steps the generator through all
-  draws but builds canonical forms for its own only;
+  draws; a shard decides the per-set filters of its own draws from their
+  integer coordinates and builds canonical forms and decompositions only
+  for the sets that pass;
 * each shard writes its records to its own file and checkpoints its progress
   (config fingerprint + pairs visited + records written) atomically, so a
   killed run resumes by truncating to the checkpoint and skipping that many
@@ -41,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .conjecture import CHECKS, ConjectureReport, Pair, Verdict, check_pair
+from .conjecture import CHECKS, ConjectureReport, Pair, Verdict
 from .errors import CapExceeded, ParseError, ResumeMismatch
 from .geometry import (
     HullDecomposition,
@@ -50,6 +52,7 @@ from .geometry import (
     _collinear,
     classify_points,
     convex_hull,
+    interior_count,
 )
 from .sumset import canonical_translate
 from .triangulation import lattice_points_in_hull
@@ -116,8 +119,8 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
             yield canon
 
 
-def _grid_points(grid_w: int, grid_h: int) -> List[Point]:
-    return [Point(x, y) for x in range(grid_w) for y in range(grid_h)]
+def _grid_points(grid_w: int, grid_h: int) -> List[Tuple[int, int]]:
+    return [(x, y) for x in range(grid_w) for y in range(grid_h)]
 
 
 def _check_grid_has_area(grid_w: int, grid_h: int) -> None:
@@ -139,6 +142,9 @@ def _check_grid(grid_w: int, grid_h: int, min_pts: int, max_pts: Optional[int],
         )
     if min_pts < 3:
         raise ValueError("min_pts must be at least 3: smaller sets are collinear")
+    if min_pts > grid_w * grid_h:
+        raise ValueError(f"min_pts must be at most the {grid_w}x{grid_h} grid's "
+                         f"{grid_w * grid_h} cells")
     if max_pts is not None and max_pts < min_pts:
         raise ValueError("max_pts must be at least min_pts")
 
@@ -151,8 +157,8 @@ def random_point_set(rng: random.Random, grid_w: int, grid_h: int,
     return PointSet(_draw(rng, _grid_points(grid_w, grid_h), min_pts, max_pts))
 
 
-def _draw(rng: random.Random, grid: Sequence[Point], min_pts: int,
-          max_pts: int) -> List[Point]:
+def _draw(rng: random.Random, grid: Sequence[Tuple[int, int]], min_pts: int,
+          max_pts: int) -> List[Tuple[int, int]]:
     # every random-mode shard replays each draw's generator calls, so this is
     # the whole of a draw that another shard owns: no PointSet, no canonical form
     while True:
@@ -306,8 +312,22 @@ def serialize_set_id(s: PointSet) -> str:
     return ";".join(f"{p.x},{p.y}" for p in s)
 
 
-def _pair_stream(cfg: SearchConfig, shard: int) -> Iterator[Tuple[PointSet, PointSet]]:
-    """The pairs of one shard, in stream order (see the module docstring)."""
+def _class_key(pts: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """A drawn set's translation class: its points, sorted, shifted so that
+    the smallest is the origin (the points of ``canonical_translate``)."""
+    pts = sorted(pts)
+    x0, y0 = pts[0]
+    return tuple([(x - x0, y - y0) for x, y in pts])
+
+
+def _pair_stream(cfg: SearchConfig, shard: int) -> Iterator[tuple]:
+    """The pairs of one shard, in stream order (see the module docstring).
+
+    Exhaustive mode yields pairs of canonical ``PointSet``s, A <= B. Random
+    mode yields each owned draw as the ``_class_key``s of its two sets, in
+    draw order, and leaves canonical forms to ``run_shard``.
+    """
+    _check_symmetry(cfg.symmetry)
     if cfg.mode == "exhaustive":
         sets = sorted(enumerate_point_sets(
             cfg.grid_w, cfg.grid_h, cfg.min_pts, cfg.max_pts, cfg.symmetry))
@@ -320,22 +340,20 @@ def _pair_stream(cfg: SearchConfig, shard: int) -> Iterator[Tuple[PointSet, Poin
         for k in range(cfg.count):
             a = _draw(rng, grid, cfg.min_pts, cfg.max_pts)
             b = _draw(rng, grid, cfg.min_pts, cfg.max_pts)
-            if k % cfg.workers != shard:
-                continue
-            a = _canonical(a, cfg.symmetry)
-            b = _canonical(b, cfg.symmetry)
-            if b < a:
-                a, b = b, a
-            yield a, b
+            if k % cfg.workers == shard:
+                yield _class_key(a), _class_key(b)
 
 
-def _passes_set_filters(cfg: SearchConfig, d: HullDecomposition) -> bool:
-    # filters decidable from one summand alone, checked before the other
-    # summand is classified and before the sumset decomposition
+_SET_FILTERS = ("boundary-only", "interior-both")
+
+
+def _passes_set_filters(cfg: SearchConfig, i: int) -> bool:
+    # filters decidable from one summand's interior count alone, checked
+    # before the other summand is looked up and before the sum is built
     for f in cfg.filters:
-        if f == "boundary-only" and d.i != 0:
+        if f == "boundary-only" and i != 0:
             return False
-        if f == "interior-both" and d.i < 1:
+        if f == "interior-both" and i < 1:
             return False
     return True
 
@@ -366,6 +384,8 @@ def _read_state(state_path: str) -> Optional[dict]:
 
 
 _CHECKPOINT_EVERY = 512
+
+_UNSEEN = object()
 
 
 def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
@@ -407,19 +427,40 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
     tally = summarize_lines([line.rstrip("\n") for line in kept])
 
     decomp = functools.cache(classify_points)
+    if cfg.mode == "exhaustive":
+        def summand(s: PointSet) -> Optional[HullDecomposition]:
+            d = decomp(s)
+            return d if _passes_set_filters(cfg, d.i) else None
+    else:
+        # class key -> decomposition of the canonical form, or None for a
+        # set the per-set filters reject, which is decided in integers
+        table: Dict[tuple, Optional[HullDecomposition]] = {}
+        set_filtered = any(f in _SET_FILTERS for f in cfg.filters)
+
+        def summand(key: tuple) -> Optional[HullDecomposition]:
+            d = table.get(key, _UNSEEN)
+            if d is _UNSEEN:
+                passes = (not set_filtered
+                          or _passes_set_filters(cfg, interior_count(key)))
+                d = table[key] = decomp(_canonical(key, cfg.symmetry)) if passes else None
+            return d
+
     set_id = functools.cache(serialize_set_id)
     checks_run = [(name, CHECKS[name]) for name in cfg.checks]
     unique_only = "unique-rep" in cfg.filters
     visited = visited_done
     with open(records_path, "a", encoding="utf-8") as out:
-        for a, b in itertools.islice(_pair_stream(cfg, shard), visited_done, None):
+        for sa, sb in itertools.islice(_pair_stream(cfg, shard), visited_done, None):
             visited += 1
             t0 = time.perf_counter()
-            da = decomp(a)
-            if _passes_set_filters(cfg, da) and _passes_set_filters(cfg, db := decomp(b)):
+            da = summand(sa)
+            if da is not None and (db := summand(sb)) is not None:
+                if db.points < da.points:
+                    da, db = db, da
+                a, b = da.points, db.points
                 pair = Pair(a, b, da, db)
                 if not unique_only or pair.unique:
-                    report = check_pair(a, b, da, db, pair.dab)
+                    report = pair.report()
                     checks = {name: outcome(pair) if applies(pair) else None
                               for name, (applies, outcome) in checks_run}
                     line = SearchRecord(a_id=set_id(a), b_id=set_id(b), report=report,

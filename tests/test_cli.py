@@ -124,6 +124,16 @@ class TestSearch:
         assert code == 2
         assert "CapExceeded" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "random", "--count", "3"]])
+    def test_min_pts_above_cell_count(self, tmp_path, capsys, mode):
+        # both modes used to open a shard file, then fail inside the sweep
+        code = cli_dispatch(["search", "--grid", "2x2", "--min-pts", "5",
+                             "--report", str(tmp_path / "r.txt"), *mode])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: min_pts must be at most the 2x2 grid's 4 cells\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_check_rejected(self, tmp_path, capsys):
         code = cli_dispatch(["search", "--grid", "2x2", "--check", "vibes",
                              "--report", str(tmp_path / "out.txt")])

@@ -18,6 +18,7 @@ from planesum import (
     cones_intersect,
     convex_hull,
     generic_direction,
+    interior_count,
     is_ap_same_difference,
     normal_cone,
     orientation,
@@ -29,6 +30,9 @@ TRI_DOUBLE = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.tuples(coords, coords)
+# a small box puts many points on hull edges and inside
+near = st.integers(min_value=-3, max_value=3)
+small_point_lists = st.lists(st.tuples(near, near), min_size=3, max_size=30)
 
 
 class TestOrientation:
@@ -102,6 +106,55 @@ class TestConvexHull:
     def test_hull_of_hull_is_fixed_point(self, pts):
         hull = convex_hull(pts)
         assert convex_hull(hull) == hull
+
+
+def _hull_by_orientation(points):
+    """The orientation()-based monotone chain that ``convex_hull`` ran before
+    its integer chain: the reference that chain is held to."""
+    pts = sorted({Point(p[0], p[1]) for p in points})
+    if len(pts) == 1:
+        return (pts[0],)
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and orientation(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    lower = half(pts)
+    upper = half(reversed(pts))
+    return tuple(lower[:-1] + upper[:-1])
+
+
+class TestIntegerHull:
+    @given(st.one_of(st.lists(points, min_size=1, max_size=30), small_point_lists))
+    @settings(max_examples=150)
+    def test_convex_hull_matches_orientation_chain(self, pts):
+        hull = convex_hull(pts)
+        assert hull == _hull_by_orientation(pts)
+        assert all(type(v) is Point for v in hull)
+
+    @given(st.one_of(st.lists(points, min_size=3, max_size=25), small_point_lists),
+           points)
+    @settings(max_examples=200)
+    def test_interior_count_matches_classify_points(self, pts, shift):
+        moved = [(x + shift[0], y + shift[1]) for x, y in pts]
+        try:
+            d = classify_points(pts)
+        except CollinearInput:
+            assert interior_count(pts) == interior_count(moved) == 0
+            return
+        assert interior_count(pts) == interior_count(moved) == d.i
+        assert interior_count(d.points) == d.i
+
+    def test_interior_count_examples(self):
+        assert interior_count(TRI) == interior_count(TRI_DOUBLE) == 0
+        assert interior_count([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]) == 1
+        for n, inside in ((3, 1), (4, 4)):
+            assert interior_count([(x, y) for x in range(n) for y in range(n)]) == inside
+        assert interior_count([(0, 0), (1, 1), (2, 2)]) == 0
 
 
 class TestClassifyPoints:

@@ -170,7 +170,8 @@ class TestSearchConfig:
                          max_pts=4).validate()
 
     @pytest.mark.parametrize("min_pts, max_pts, match", [(2, 4, "min_pts"),
-                                                         (5, 4, "max_pts")])
+                                                         (5, 4, "max_pts"),
+                                                         (10, 12, "9 cells")])
     def test_entry_points_share_size_checks(self, min_pts, max_pts, match):
         errors = []
         for make in (
@@ -293,15 +294,19 @@ class TestShardedStream:
 
     def test_random_stream_replays_random_point_set(self):
         # the draws must be exactly those of random_point_set, or the
-        # recorded report digests of earlier versions would no longer hold
+        # recorded report digests of earlier versions would no longer hold;
+        # the stream yields each draw as the class key of its two sets
         cfg = replace(STREAM_CONFIGS["random-4x4-filtered"], symmetry="dihedral").normalized()
         rng = random.Random(cfg.seed)
-        expected = []
-        for _ in range(cfg.count):
-            a, b = (search_mod._canonical(random_point_set(rng, 4, 4, 3, 8), "dihedral")
-                    for _ in range(2))
-            expected.append((a, b) if a <= b else (b, a))
-        assert list(search_mod._pair_stream(cfg, 0)) == expected
+        draws = [tuple(random_point_set(rng, 4, 4, 3, 8) for _ in range(2))
+                 for _ in range(cfg.count)]
+        stream = list(search_mod._pair_stream(cfg, 0))
+        assert len(stream) == len(draws)
+        for keys, sets in zip(stream, draws):
+            for key, s in zip(keys, sets):
+                assert PointSet(key) == canonical_translate(s)
+                assert (search_mod._canonical(key, "dihedral")
+                        == search_mod._canonical(s, "dihedral"))
 
 
 class TestRunShard:
@@ -314,7 +319,7 @@ class TestRunShard:
         def boom(*args, **kw):
             raise AssertionError("should not recompute a complete shard")
 
-        monkeypatch.setattr(search_mod, "check_pair", boom)
+        monkeypatch.setattr(search_mod, "Pair", boom)
         assert run_shard(cfg, 0) == tally
 
     def test_resume_mismatch_detected(self, tmp_path):
@@ -371,10 +376,32 @@ class TestRunShard:
 
         monkeypatch.setattr(search_mod, "classify_points", spy)
         run_shard(cfg, 0)
-        pairs = list(search_mod._pair_stream(cfg, 0))
-        needed = {a for a, _ in pairs} | {b for a, b in pairs if real(a).i >= 1}
+        needed = set()
+        drawn = set()
+        for ka, kb in search_mod._pair_stream(cfg, 0):
+            a, b = PointSet(ka), PointSet(kb)
+            drawn |= {a, b}
+            if real(a).i >= 1:
+                needed.add(a)
+                if real(b).i >= 1:
+                    needed.add(b)
         assert classified == needed
-        assert len(needed) < len({s for pair in pairs for s in pair})
+        assert len(needed) < len(drawn)
+
+    def test_one_pair_per_evaluated_pair(self, tmp_path, monkeypatch):
+        cfg = SearchConfig(grid_w=3, grid_h=3, max_pts=4, checks=search_mod.CHECK_NAMES,
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        built = []
+        real_init = conjecture_mod.Pair.__init__
+
+        def counting_init(self, *args, **kw):
+            built.append(1)
+            real_init(self, *args, **kw)
+
+        monkeypatch.setattr(conjecture_mod.Pair, "__init__", counting_init)
+        tally = run_shard(cfg, 0)
+        assert tally.records > 0
+        assert len(built) == tally.records
 
     def _crash_then_resume(self, tmp_path, monkeypatch, ref_cfg, crash_after,
                            checkpoint_every):
@@ -388,16 +415,16 @@ class TestRunShard:
         cfg = replace(ref_cfg, report_path=str(tmp_path / "crash.txt"),
                       checkpoint_path=None).normalized()
         monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY", checkpoint_every)
-        real = search_mod.check_pair
+        real = conjecture_mod.Pair.report
         calls = {"n": 0}
 
-        def flaky(*args, **kw):
+        def flaky(pair):
             calls["n"] += 1
             if calls["n"] > crash_after:
                 raise RuntimeError("injected crash")
-            return real(*args, **kw)
+            return real(pair)
 
-        monkeypatch.setattr(search_mod, "check_pair", flaky)
+        monkeypatch.setattr(conjecture_mod.Pair, "report", flaky)
         with pytest.raises(RuntimeError):
             run_shard(cfg, 0)
 
@@ -408,7 +435,7 @@ class TestRunShard:
         assert 0 < state["visited"] < cfg.count
         assert state["records"] <= state["visited"]
 
-        monkeypatch.setattr(search_mod, "check_pair", real)
+        monkeypatch.setattr(conjecture_mod.Pair, "report", real)
         assert run_shard(cfg, 0) == ref_tally
         with open(records_path) as fh:
             assert fh.read() == ref_bytes
@@ -606,17 +633,18 @@ class TestRunSearch:
         # that the fails and check-failure lists are not empty.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY", 7)
-        real = search_mod.check_pair
+        real = conjecture_mod.Pair.report
 
-        def forced(a, b, *rest):
-            report = real(a, b, *rest)
-            if (len(a) + len(b)) % 3 == 0:
+        def forced(pair):
+            report = real(pair)
+            if (len(pair.a) + len(pair.b)) % 3 == 0:
                 report = replace(report, main=Verdict.FAILS)
             return report
 
-        monkeypatch.setattr(search_mod, "check_pair", forced)
-        monkeypatch.setattr(conjecture_mod, "check_sum_boundary",
-                            lambda a, b, *rest: len(a) != len(b))
+        monkeypatch.setattr(conjecture_mod.Pair, "report", forced)
+        applies, _ = conjecture_mod.CHECKS["sum_boundary"]
+        monkeypatch.setitem(conjecture_mod.CHECKS, "sum_boundary",
+                            (applies, lambda pair: len(pair.a) != len(pair.b)))
         ref_cfg = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=8, count=120,
                                max_pts=6, checks=("sum_boundary",), workers=2,
                                report_path=str(tmp_path / "ref.txt"))
@@ -636,7 +664,7 @@ class TestRunSearch:
             return forced(*args)
 
         cfg = replace(ref_cfg, report_path=str(tmp_path / "crash.txt"))
-        monkeypatch.setattr(search_mod, "check_pair", crashing)
+        monkeypatch.setattr(conjecture_mod.Pair, "report", crashing)
         with pytest.raises(RuntimeError):
             run_search(cfg)
         states = []
@@ -645,8 +673,77 @@ class TestRunSearch:
             with open(state_path) as fh:
                 states.append(json.load(fh)["complete"])
         assert states == [True, False]
-        monkeypatch.setattr(search_mod, "check_pair", forced)
+        monkeypatch.setattr(conjecture_mod.Pair, "report", forced)
         resumed = run_search(cfg)
         assert (replace(resumed, elapsed=0.0, report_path="")
                 == replace(ref, elapsed=0.0, report_path=""))
         assert _read(resumed.report_path) == _read(ref.report_path)
+
+
+def _reference_report(cfg: SearchConfig) -> bytes:
+    """A random-mode report rebuilt draw by draw from ``random_point_set``,
+    ``_canonical``, ``classify_points`` and ``check_pair``, with every filter
+    decided on the canonical forms."""
+    cfg = cfg.normalized()
+    rng = random.Random(cfg.seed)
+    lines = []
+    for _ in range(cfg.count):
+        a, b = (search_mod._canonical(random_point_set(
+            rng, cfg.grid_w, cfg.grid_h, cfg.min_pts, cfg.max_pts), cfg.symmetry)
+            for _ in range(2))
+        if b < a:
+            a, b = b, a
+        i_a, i_b = classify_points(a).i, classify_points(b).i
+        if "boundary-only" in cfg.filters and (i_a or i_b):
+            continue
+        if "interior-both" in cfg.filters and not (i_a and i_b):
+            continue
+        if "unique-rep" in cfg.filters and not unique_representation(a, b)[0]:
+            continue
+        lines.append(SearchRecord(a_id=serialize_set_id(a), b_id=serialize_set_id(b),
+                                  report=check_pair(a, b), checks={}, walltime=0.0).line())
+    return "".join(line + "\n" for line in sorted(lines)).encode()
+
+
+class TestRandomFastPath:
+    @pytest.mark.parametrize("filters", [(), ("boundary-only",), ("interior-both",),
+                                         ("boundary-only", "unique-rep")])
+    @pytest.mark.parametrize("symmetry", search_mod.SYMMETRIES)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_report_equals_draw_by_draw_reference(self, tmp_path, inline_pool, filters,
+                                                  symmetry, workers):
+        cfg = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=23, count=200,
+                           max_pts=5, filters=filters, symmetry=symmetry, workers=workers,
+                           report_path=str(tmp_path / "r.txt"))
+        summary = run_search(cfg)
+        assert summary.pairs > 0
+        assert _read(summary.report_path) == _reference_report(cfg)
+
+    @pytest.mark.parametrize("symmetry", search_mod.SYMMETRIES)
+    def test_canonical_forms_only_for_sets_that_pass(self, tmp_path, monkeypatch, symmetry):
+        cfg = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=5, count=400,
+                           max_pts=6, filters=("boundary-only",), symmetry=symmetry,
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        canonicalized, classified = [], []
+        real_canonical, real_classify = search_mod._canonical, search_mod.classify_points
+
+        def canonical_spy(points, sym):
+            canonicalized.append(tuple(points))
+            return real_canonical(points, sym)
+
+        def classify_spy(s):
+            classified.append(s)
+            return real_classify(s)
+
+        monkeypatch.setattr(search_mod, "_canonical", canonical_spy)
+        monkeypatch.setattr(search_mod, "classify_points", classify_spy)
+        run_shard(cfg, 0)
+        drawn = {key for pair in search_mod._pair_stream(cfg, 0) for key in pair}
+        passing = {key for key in drawn if real_classify(key).i == 0}
+        # each class that passes is canonicalized at most once, and each
+        # canonical form classified at most once; a rejected set never is
+        assert len(canonicalized) == len(set(canonicalized)) > 0
+        assert set(canonicalized) <= passing
+        assert len(classified) == len(set(classified)) > 0
+        assert all(real_classify(s).i == 0 for s in classified)
+        assert drawn - passing
