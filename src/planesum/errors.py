@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import re
+
 
 class PlanesumError(Exception):
     """Base class for all errors raised by this package."""
@@ -44,3 +46,8 @@ class ParseError(PlanesumError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
+
+
+def token_column(line: str, k: int) -> int:
+    """1-based column of the k-th whitespace-separated token of a line."""
+    return [m.start() for m in re.finditer(r"\S+", line)][k] + 1

@@ -12,7 +12,7 @@ import re
 import warnings
 from typing import List
 
-from .errors import ParseError
+from .errors import ParseError, token_column
 from .geometry import Point, PointSet
 
 _INT = re.compile(r"[+-]?\d+$")
@@ -28,14 +28,13 @@ def parse_point_set(text: str, source: str = "<string>") -> PointSet:
             continue
         tokens = raw.split()
         if len(tokens) != 2:
-            bad = tokens[2] if len(tokens) > 2 else tokens[0]
-            col = raw.index(bad) + 1 if len(tokens) > 2 else len(raw.rstrip()) + 1
+            col = token_column(raw, 2) if len(tokens) > 2 else len(raw.rstrip()) + 1
             what = "extra token" if len(tokens) > 2 else "expected two integers"
             raise ParseError(f"{what} in {source!r}: {stripped!r}", lineno, col)
-        for tok in tokens:
+        for k, tok in enumerate(tokens):
             if not _INT.match(tok):
                 raise ParseError(
-                    f"not an integer in {source!r}: {tok!r}", lineno, raw.index(tok) + 1
+                    f"not an integer in {source!r}: {tok!r}", lineno, token_column(raw, k)
                 )
         p = Point(int(tokens[0]), int(tokens[1]))
         if p in seen:

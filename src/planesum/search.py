@@ -13,9 +13,11 @@ Parallel runs stay reproducible by construction rather than by locking:
   row ``i`` of the sorted class list (every pair whose smaller set is class
   ``i``) belongs to shard ``i % workers``; in random mode draw ``k`` belongs
   to shard ``k % workers``, and every shard steps the generator through all
-  draws; a shard decides the per-set filters of its own draws from their
-  integer coordinates and builds canonical forms and decompositions only
-  for the sets that pass;
+  draws;
+* both modes carry a set as its class key, a sorted tuple of int pairs,
+  from enumeration or draw to the shard's one table of summands: a shard
+  decides the per-set filters from a key's integer coordinates and builds
+  canonical forms and decompositions only for the sets that pass;
 * each shard writes its records to its own file and checkpoints its progress
   (config fingerprint + pairs visited + records written) atomically, so a
   killed run resumes by truncating to the checkpoint and skipping that many
@@ -24,8 +26,8 @@ Parallel runs stay reproducible by construction rather than by locking:
 * the final report is the sorted merge of all shard files, which makes the
   output bytes independent of worker count and interruption history.
 
-Records are flat ``key=value`` lines. Wall-clock time is tracked in memory
-for summaries but kept out of record lines, which must be reproducible.
+Records are flat ``key=value`` lines with no wall-clock time in them, so
+reports are reproducible; only a sweep's summary carries its elapsed time.
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ import itertools
 import json
 import os
 import random
-import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .conjecture import CHECKS, ConjectureReport, Pair, Verdict
-from .errors import CapExceeded, ParseError, ResumeMismatch
+from .errors import CapExceeded, ParseError, ResumeMismatch, token_column
 from .geometry import (
     HullDecomposition,
     Point,
@@ -54,7 +55,6 @@ from .geometry import (
     convex_hull,
     interior_count,
 )
-from .sumset import canonical_translate
 from .triangulation import lattice_points_in_hull
 
 GRID_CELL_CAP = 25
@@ -82,17 +82,22 @@ def _check_symmetry(symmetry: str) -> None:
         raise ValueError(f"unknown symmetry {symmetry!r}, expected one of {SYMMETRIES}")
 
 
-def _canonical(points: Iterable[Point], symmetry: str) -> PointSet:
-    base = canonical_translate(PointSet(points))
+def _class_key(pts: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """A set's translation class: its points, sorted, shifted so that the
+    smallest is the origin (the points of ``canonical_translate``)."""
+    pts = sorted(pts)
+    x0, y0 = pts[0]
+    return tuple([(x - x0, y - y0) for x, y in pts])
+
+
+def _canonical(pts: Sequence[Tuple[int, int]], symmetry: str) -> Tuple[Tuple[int, int], ...]:
+    """The class key of a set's class under ``symmetry``: its ``_class_key``
+    under translation, the least class key of its eight lattice symmetry
+    images under dihedral symmetry."""
     if symmetry == "translation":
-        return base
+        return _class_key(pts)
     _check_symmetry(symmetry)
-    best = base
-    for f in _DIHEDRAL[1:]:
-        cand = canonical_translate(PointSet(Point(*f(p.x, p.y)) for p in base))
-        if cand < best:
-            best = cand
-    return best
+    return min(_class_key([f(x, y) for x, y in pts]) for f in _DIHEDRAL)
 
 
 def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
@@ -104,6 +109,12 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
     first-encounter order over ascending subset size and lexicographic
     combinations.
     """
+    return map(PointSet, _class_keys(grid_w, grid_h, min_pts, max_pts, symmetry))
+
+
+def _class_keys(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
+                symmetry: str) -> Iterator[Tuple[Tuple[int, int], ...]]:
+    """``enumerate_point_sets`` as the ``_canonical`` keys of the classes."""
     _check_grid(grid_w, grid_h, min_pts, max_pts, capped=True)
     _check_symmetry(symmetry)
     grid = _grid_points(grid_w, grid_h)
@@ -112,11 +123,10 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
         for combo in itertools.combinations(grid, size):
             if _collinear(combo):
                 continue
-            canon = _canonical(combo, symmetry)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            yield canon
+            key = _canonical(combo, symmetry)
+            if key not in seen:
+                seen.add(key)
+                yield key
 
 
 def _grid_points(grid_w: int, grid_h: int) -> List[Tuple[int, int]]:
@@ -262,13 +272,14 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchRecord:
-    """One evaluated pair: ids, report, extra check outcomes, wall time."""
+    """One evaluated pair: ids, report and extra check outcomes. No sweep
+    sets ``walltime``, and ``line()`` never writes it."""
 
     a_id: str
     b_id: str
     report: ConjectureReport
     checks: Dict[str, Optional[bool]]
-    walltime: float
+    walltime: float = 0.0
 
     def line(self) -> str:
         r = self.report
@@ -312,28 +323,22 @@ def serialize_set_id(s: PointSet) -> str:
     return ";".join(f"{p.x},{p.y}" for p in s)
 
 
-def _class_key(pts: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-    """A drawn set's translation class: its points, sorted, shifted so that
-    the smallest is the origin (the points of ``canonical_translate``)."""
-    pts = sorted(pts)
-    x0, y0 = pts[0]
-    return tuple([(x - x0, y - y0) for x, y in pts])
-
-
 def _pair_stream(cfg: SearchConfig, shard: int) -> Iterator[tuple]:
-    """The pairs of one shard, in stream order (see the module docstring).
+    """The pairs of one shard, in stream order (see the module docstring), as
+    the class keys of their two sets.
 
-    Exhaustive mode yields pairs of canonical ``PointSet``s, A <= B. Random
-    mode yields each owned draw as the ``_class_key``s of its two sets, in
-    draw order, and leaves canonical forms to ``run_shard``.
+    Exhaustive mode yields pairs of ``_canonical`` keys, A <= B. Random mode
+    yields each owned draw as the ``_class_key``s of its two sets, in draw
+    order. Either way ``run_shard`` decides the per-set filters from the
+    keys and builds canonical forms only for the sets that pass.
     """
     _check_symmetry(cfg.symmetry)
     if cfg.mode == "exhaustive":
-        sets = sorted(enumerate_point_sets(
+        keys = sorted(_class_keys(
             cfg.grid_w, cfg.grid_h, cfg.min_pts, cfg.max_pts, cfg.symmetry))
-        for i in range(shard, len(sets), cfg.workers):
-            for j in range(i, len(sets)):
-                yield sets[i], sets[j]
+        for i in range(shard, len(keys), cfg.workers):
+            for j in range(i, len(keys)):
+                yield keys[i], keys[j]
     else:
         rng = random.Random(cfg.seed)
         grid = _grid_points(cfg.grid_w, cfg.grid_h)
@@ -426,24 +431,19 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
         fh.writelines(kept)
     tally = summarize_lines([line.rstrip("\n") for line in kept])
 
+    # class key -> decomposition of its canonical form, or None for a set
+    # the per-set filters reject, which is decided in integers; under
+    # dihedral symmetry several keys share one canonical form, hence decomp
     decomp = functools.cache(classify_points)
-    if cfg.mode == "exhaustive":
-        def summand(s: PointSet) -> Optional[HullDecomposition]:
-            d = decomp(s)
-            return d if _passes_set_filters(cfg, d.i) else None
-    else:
-        # class key -> decomposition of the canonical form, or None for a
-        # set the per-set filters reject, which is decided in integers
-        table: Dict[tuple, Optional[HullDecomposition]] = {}
-        set_filtered = any(f in _SET_FILTERS for f in cfg.filters)
+    table: Dict[tuple, Optional[HullDecomposition]] = {}
+    set_filtered = any(f in _SET_FILTERS for f in cfg.filters)
 
-        def summand(key: tuple) -> Optional[HullDecomposition]:
-            d = table.get(key, _UNSEEN)
-            if d is _UNSEEN:
-                passes = (not set_filtered
-                          or _passes_set_filters(cfg, interior_count(key)))
-                d = table[key] = decomp(_canonical(key, cfg.symmetry)) if passes else None
-            return d
+    def summand(key: tuple) -> Optional[HullDecomposition]:
+        d = table.get(key, _UNSEEN)
+        if d is _UNSEEN:
+            passes = not set_filtered or _passes_set_filters(cfg, interior_count(key))
+            d = table[key] = decomp(_canonical(key, cfg.symmetry)) if passes else None
+        return d
 
     set_id = functools.cache(serialize_set_id)
     checks_run = [(name, CHECKS[name]) for name in cfg.checks]
@@ -452,7 +452,6 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
     with open(records_path, "a", encoding="utf-8") as out:
         for sa, sb in itertools.islice(_pair_stream(cfg, shard), visited_done, None):
             visited += 1
-            t0 = time.perf_counter()
             da = summand(sa)
             if da is not None and (db := summand(sb)) is not None:
                 if db.points < da.points:
@@ -464,8 +463,7 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
                     checks = {name: outcome(pair) if applies(pair) else None
                               for name, (applies, outcome) in checks_run}
                     line = SearchRecord(a_id=set_id(a), b_id=set_id(b), report=report,
-                                        checks=checks,
-                                        walltime=time.perf_counter() - t0).line()
+                                        checks=checks).line()
                     out.write(line + "\n")
                     tally.add(line, report.main.value, report.case.value,
                               False in checks.values())
@@ -526,11 +524,6 @@ class ReportTally:
             self.flagged.append(line)
 
 
-def _token_column(line: str, k: int) -> int:
-    """1-based column of the k-th whitespace-separated token of a line."""
-    return [m.start() for m in re.finditer(r"\S+", line)][k] + 1
-
-
 def summarize_lines(lines: Sequence[str]) -> ReportTally:
     """Tally record lines; ParseError (1-based line and column) on a line that
     has a token without ``=``, lacks ``main`` or ``case``, or names an
@@ -543,14 +536,14 @@ def summarize_lines(lines: Sequence[str]) -> ReportTally:
         except ValueError:
             k = next(k for k, tok in enumerate(tokens) if "=" not in tok)
             raise ParseError(f"token without '=': {tokens[k]!r}", lineno,
-                             _token_column(line, k)) from None
+                             token_column(line, k)) from None
         for key in ("main", "case"):
             if key not in kv:
                 raise ParseError(f"record has no {key}=", lineno, 1)
         main = kv["main"]
         if main not in tally.verdicts:
             k = [tok.split("=", 1)[0] for tok in tokens].index("main")
-            raise ParseError(f"unknown verdict {main!r}", lineno, _token_column(line, k))
+            raise ParseError(f"unknown verdict {main!r}", lineno, token_column(line, k))
         check_failed = "=false" in line and any(kv.get(k) == "false" for k in CHECK_NAMES)
         tally.add(line, main, kv["case"], check_failed)
     return tally

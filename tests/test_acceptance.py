@@ -3,9 +3,11 @@
 Each test prints one ``[PASS]``/``[FAIL]`` line naming its criterion. The
 exhaustive 3x3 sweep is shared by criteria 4, 5, 6 and 10 through a
 session-scoped fixture, so the suite runs it once with one worker and once
-more with eight workers for the byte-determinism comparison.
+more with eight workers for the byte-determinism comparison; criterion 10
+also pins the report's sha256.
 """
 
+import hashlib
 import random
 import time
 from dataclasses import replace
@@ -42,6 +44,10 @@ from planesum.search import CHECK_NAMES
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 TRI_DOUBLE = minkowski_sum(TRI, TRI)
 PLUS_SQUARE = PointSet([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)])
+
+# sha256 of the 3x3 all-checks report, as recorded for the benchmark's
+# sweep3-exhaustive workload: any change to a report byte shows here
+SWEEP3_REPORT_SHA256 = "c7995a1273d259af3c5cb1fa45ca12cbea315c423b713d87273d6c2d2a9f944e"
 
 
 def _announce(num: int, ok: bool, detail: str) -> None:
@@ -237,7 +243,9 @@ def test_criterion_10_worker_count_determinism(sweep3):
     elapsed = time.perf_counter() - t0
     with open(summary8.report_path, "rb") as fh:
         raw8 = fh.read()
-    ok = raw8 == sweep3.raw and summary8.pairs == sweep3.summary.pairs
+    digest = hashlib.sha256(sweep3.raw).hexdigest()
+    ok = (raw8 == sweep3.raw and summary8.pairs == sweep3.summary.pairs
+          and digest == SWEEP3_REPORT_SHA256)
     _announce(10, ok, f"3x3 sweep with 1 and 8 workers byte-identical "
-                      f"({len(raw8)} bytes, {summary8.pairs} pairs, "
-                      f"second run {elapsed:.1f}s)")
+                      f"({len(raw8)} bytes, {summary8.pairs} pairs, sha256 "
+                      f"{digest[:12]} as recorded, second run {elapsed:.1f}s)")

@@ -45,10 +45,22 @@ class TestParse:
         assert exc.value.line == 1
         assert exc.value.column == 5  # the offending third token
 
+    def test_repeated_extra_token_column(self):
+        # the third token repeats the first; its own column is reported
+        with pytest.raises(ParseError) as exc:
+            parse_point_set("1 2 1\n")
+        assert (exc.value.line, exc.value.column) == (1, 5)
+
     def test_non_integer_is_error(self):
         with pytest.raises(ParseError) as exc:
             parse_point_set("0 0\n1 x\n")
         assert (exc.value.line, exc.value.column) == (2, 3)
+
+    def test_bad_token_inside_another_token_column(self):
+        # "-" also occurs at the start of "-1"; the bad token is at column 4
+        with pytest.raises(ParseError) as exc:
+            parse_point_set("-1 -\n")
+        assert (exc.value.line, exc.value.column) == (1, 4)
 
     def test_float_is_error(self):
         with pytest.raises(ParseError):

@@ -8,6 +8,8 @@ from concurrent.futures import Future
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import planesum.conjecture as conjecture_mod
 import planesum.search as search_mod
@@ -33,6 +35,47 @@ from planesum.search import run_shard, serialize_set_id
 from planesum.sumset import canonical_translate
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
+
+# the eight lattice symmetries, written out apart from the module under test
+SYMMETRY_MAPS = (
+    lambda x, y: (x, y),
+    lambda x, y: (-x, y),
+    lambda x, y: (x, -y),
+    lambda x, y: (-x, -y),
+    lambda x, y: (y, x),
+    lambda x, y: (-y, x),
+    lambda x, y: (y, -x),
+    lambda x, y: (-y, -x),
+)
+
+
+def _reference_canonical(points, symmetry: str) -> PointSet:
+    """A set's canonical form built from ``PointSet``s: ``canonical_translate``
+    of the set, or the least ``canonical_translate`` of its eight images."""
+    base = canonical_translate(PointSet(points))
+    if symmetry == "translation":
+        return base
+    return min(canonical_translate(PointSet(f(p.x, p.y) for p in base))
+               for f in SYMMETRY_MAPS)
+
+
+def _reference_enumeration(grid_w, grid_h, min_pts, max_pts, symmetry):
+    """``enumerate_point_sets`` rebuilt from ``_reference_canonical``: first
+    encounters over ascending sizes and lexicographic combinations."""
+    grid = [(x, y) for x in range(grid_w) for y in range(grid_h)]
+    seen = set()
+    for size in range(min_pts, min(max_pts, len(grid)) + 1):
+        for combo in itertools.combinations(grid, size):
+            (x0, y0), (x1, y1) = combo[0], combo[1]
+            if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for x, y in combo[2:]):
+                continue
+            canon = _reference_canonical(combo, symmetry)
+            if canon not in seen:
+                seen.add(canon)
+                yield canon
+
+
+near = st.integers(min_value=-4, max_value=4)
 
 
 class TestEnumeration:
@@ -86,6 +129,25 @@ class TestEnumeration:
     def test_cell_cap(self):
         with pytest.raises(CapExceeded):
             list(enumerate_point_sets(6, 5, 3, 4))
+
+    @pytest.mark.parametrize("symmetry", search_mod.SYMMETRIES)
+    @pytest.mark.parametrize("grid_w,grid_h,max_pts", [(2, 2, 4), (3, 3, 9), (4, 4, 6)])
+    def test_equals_point_set_reference_in_order(self, grid_w, grid_h, max_pts, symmetry):
+        got = list(enumerate_point_sets(grid_w, grid_h, 3, max_pts, symmetry))
+        assert got == list(_reference_enumeration(grid_w, grid_h, 3, max_pts, symmetry))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(near, near), min_size=1, max_size=10, unique=True),
+           st.tuples(near, near), st.sampled_from(SYMMETRY_MAPS),
+           st.sampled_from(search_mod.SYMMETRIES))
+    def test_canonical_is_a_class_invariant(self, pts, shift, image, symmetry):
+        key = search_mod._canonical(pts, symmetry)
+        moved = [(x + shift[0], y + shift[1]) for x, y in pts]
+        if symmetry == "dihedral":
+            moved = [image(x, y) for x, y in moved]
+        assert search_mod._canonical(moved, symmetry) == key
+        assert search_mod._canonical(key, symmetry) == key
+        assert PointSet(key) == _reference_canonical(pts, symmetry)
 
 
 class TestRandomGenerators:
@@ -289,7 +351,7 @@ class TestShardedStream:
         cfg = replace(STREAM_CONFIGS["exhaustive-3x3"], workers=3).normalized()
         rows = sorted(enumerate_point_sets(3, 3, 3, 9))
         for shard in range(3):
-            firsts = {a for a, _ in search_mod._pair_stream(cfg, shard)}
+            firsts = {PointSet(a) for a, _ in search_mod._pair_stream(cfg, shard)}
             assert firsts == set(rows[shard::3])
 
     def test_random_stream_replays_random_point_set(self):
@@ -371,7 +433,7 @@ class TestRunShard:
         real = search_mod.classify_points
 
         def spy(s):
-            classified.add(s)
+            classified.add(PointSet(s))
             return real(s)
 
         monkeypatch.setattr(search_mod, "classify_points", spy)
@@ -682,13 +744,13 @@ class TestRunSearch:
 
 def _reference_report(cfg: SearchConfig) -> bytes:
     """A random-mode report rebuilt draw by draw from ``random_point_set``,
-    ``_canonical``, ``classify_points`` and ``check_pair``, with every filter
-    decided on the canonical forms."""
+    ``_reference_canonical``, ``classify_points`` and ``check_pair``, with
+    every filter decided on the canonical forms."""
     cfg = cfg.normalized()
     rng = random.Random(cfg.seed)
     lines = []
     for _ in range(cfg.count):
-        a, b = (search_mod._canonical(random_point_set(
+        a, b = (_reference_canonical(random_point_set(
             rng, cfg.grid_w, cfg.grid_h, cfg.min_pts, cfg.max_pts), cfg.symmetry)
             for _ in range(2))
         if b < a:
