@@ -10,7 +10,8 @@ Subcommands:
 * ``report summarize FILE``: aggregate a sweep report.
 
 Exit codes: 0 success, 1 a check failed or a counterexample was found,
-2 usage or input errors. PLANESUM_WORKERS overrides ``search --workers``.
+2 usage or input errors, a path that cannot be read or written among them.
+PLANESUM_WORKERS overrides ``search --workers``.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PlanesumError as exc:

@@ -24,8 +24,11 @@ bug or a genuine counterexample and either way demands attention:
 * ``check_sum_boundary``: a + b lies on the sum's hull boundary exactly when
   the normal cones of a and b intersect.
 * ``check_boundary_superadditivity``: b_{A+B} >= b_A + b_B, with equality
-  exactly when every shared support direction sees both support sets as
-  same-difference progressions (or a singleton).
+  exactly when the support sets of A and B are same-difference
+  progressions in every direction where both have two or more points.
+  Those are the hull edge normals that A and B share, since a support set
+  with two points is a hull edge, so the check compares the summands'
+  per-set edge tables on shared normals and never walks A + B.
 * ``check_unique_rep_bound``: with unique representation,
   tr(A+B) >= |B| tr(A) + tr(B), larger-tr set in the role of A.
 * ``check_interior_bounds``: with interior points on both sides,
@@ -63,7 +66,6 @@ from .geometry import (
     classify_points,
     convex_hull,
     generic_direction,
-    is_ap_same_difference,
 )
 from .sumset import SumDecomposition, is_translate_of, minkowski_sum, sum_decomposition
 from .triangulation import lattice_points_in_hull, tr_euler
@@ -106,10 +108,11 @@ class Pair:
 
     Decompositions passed in are used as they are; missing ones are built
     here, once. Every fact about the pair that a report or a check needs
-    is a property here.
+    is an attribute or a property here; ``unique`` and ``boundary_only``,
+    which the sweep and the check table read on every pair, are set here.
     """
 
-    __slots__ = ("a", "b", "da", "db", "dab", "_tr")
+    __slots__ = ("a", "b", "da", "db", "dab", "_tr", "unique", "boundary_only")
 
     def __init__(self, a: PointSet, b: PointSet,
                  da: Optional[HullDecomposition] = None,
@@ -117,19 +120,13 @@ class Pair:
                  dab: Optional[SumLike] = None):
         self.a = a
         self.b = b
-        self.da = classify_points(a) if da is None else da
-        self.db = classify_points(b) if db is None else db
-        self.dab = sum_decomposition(self.da, self.db) if dab is None else dab
+        self.da = da = classify_points(a) if da is None else da
+        self.db = db = classify_points(b) if db is None else db
+        self.dab = dab = sum_decomposition(da, db) if dab is None else dab
         self._tr: Optional[Tuple[int, int, int]] = None
-
-    @property
-    def unique(self) -> bool:
-        """Whether every point of A + B has exactly one representation."""
-        return len(self.dab.points) == len(self.a) * len(self.b)
-
-    @property
-    def boundary_only(self) -> bool:
-        return self.da.i == 0 and self.db.i == 0
+        # every point of A + B has exactly one representation
+        self.unique = len(dab.points) == len(a) * len(b)
+        self.boundary_only = da.i == 0 and db.i == 0
 
     @property
     def one_interior_each(self) -> bool:
@@ -282,29 +279,25 @@ def check_boundary_superadditivity(
         decomp_ab: Optional[SumLike] = None) -> BoundaryCountResult:
     """b_{A+B} >= b_A + b_B, equality iff the progression condition.
 
-    The progression condition quantifies over the outward edge normals of
-    the sum's hull (the only directions whose support sets can contribute
-    more than one boundary point): wherever both support sets have at least
-    two points they must be same-difference progressions.
+    The progression condition asks, for every direction u in which the
+    support sets of A and B both have at least two points, that they be
+    same-difference progressions. A support set of a finite set is a face
+    of its hull, so it has two or more points exactly when u is the outward
+    normal of a hull edge of that set. The condition therefore ranges over
+    the edge normals that A and B share, and it compares the two sets'
+    ``edge_steps`` there; A + B enters only through b_{A+B}.
     """
     return _boundary_counts(_pair_for("boundary_counts", a, b, decomp_a, decomp_b,
                                       decomp_ab))
 
 
 def _boundary_counts(p: Pair) -> BoundaryCountResult:
-    da, db, dab = p.da, p.db, p.dab
-    holds = dab.b >= da.b + db.b
-    equality = dab.b == da.b + db.b
-    ap = True
-    for u in dab.edge_normals:
-        su_a = da.support(u)
-        su_b = db.support(u)
-        if len(su_a) >= 2 and len(su_b) >= 2:
-            # support sets are collinear by construction; the test cannot raise
-            if not is_ap_same_difference(su_a, su_b):
-                ap = False
-                break
-    return BoundaryCountResult(holds=holds, equality=equality, ap_condition=ap)
+    b_sum, b_ab = p.da.b + p.db.b, p.dab.b
+    steps_b = p.db.edge_steps
+    ap = all(step is not None and step == steps_b[u]
+             for u, step in p.da.edge_steps.items() if u in steps_b)
+    return BoundaryCountResult(holds=b_ab >= b_sum, equality=b_ab == b_sum,
+                               ap_condition=ap)
 
 
 def check_unique_rep_bound(a: PointSet, b: PointSet,

@@ -254,11 +254,11 @@ class HullDecomposition:
     boundary: PointSet
     interior: PointSet
 
-    @property
+    @cached_property
     def b(self) -> int:
         return len(self.boundary.points)
 
-    @property
+    @cached_property
     def i(self) -> int:
         return len(self.interior.points)
 
@@ -332,22 +332,24 @@ class HullDecomposition:
         return tuple(rows)
 
     @cached_property
-    def _supports(self) -> dict:
-        return {}
+    def edge_steps(self) -> dict:
+        """Common step of the set's points on each hull edge, keyed by the
+        edge's outward normal as (dx, dy); None where those points are not an
+        arithmetic progression.
+
+        The points on the edge with normal u are ``support_set(points, u)``.
+        Their step is taken in lexicographic order, as
+        ``is_ap_same_difference`` takes it, so two sets with an edge of the
+        same normal compare their steps directly.
+        """
+        return {(u.dx, u.dy): _common_step(support_set(self.points, u).points)
+                for u in self.edge_normals}
 
     @cached_property
     def _arcs(self) -> dict:
         return {}
 
-    # the memos are keyed by (dx, dy): tuples hash in C, Directions do not
-
-    def support(self, u: Direction) -> PointSet:
-        """``support_set(self.points, u)``, memoised per direction."""
-        key = (u.dx, u.dy)
-        s = self._supports.get(key)
-        if s is None:
-            s = self._supports[key] = support_set(self.points, u)
-        return s
+    # the memo is keyed by (dx, dy): tuples hash in C, Directions do not
 
     def arc(self, v: Direction) -> "ArcDecomposition":
         """``arc_decomposition(self, v)``, memoised per direction."""
@@ -559,11 +561,12 @@ def is_ap_same_difference(c: Union[PointSet, Iterable[Coords]],
             raise NotCollinear(f"{name} set is not collinear")
     if len(cs) == 1 or len(ds) == 1:
         return True
+    dc = _common_step(cs.points)
+    return dc is not None and dc == _common_step(ds.points)
 
-    def common_difference(pts):
-        steps = {(q.x - p.x, q.y - p.y) for p, q in zip(pts, pts[1:])}
-        return steps.pop() if len(steps) == 1 else None
 
-    dc = common_difference(cs.points)
-    dd = common_difference(ds.points)
-    return dc is not None and dd is not None and dc == dd
+def _common_step(pts: Sequence[Point]) -> Optional[tuple]:
+    """The one difference of consecutive points in the given order, or None
+    when there are several (or none)."""
+    steps = {(q.x - p.x, q.y - p.y) for p, q in zip(pts, pts[1:])}
+    return steps.pop() if len(steps) == 1 else None

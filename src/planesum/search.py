@@ -32,6 +32,7 @@ reports are reproducible; only a sweep's summary carries its elapsed time.
 
 from __future__ import annotations
 
+import errno
 import functools
 import glob
 import hashlib
@@ -42,7 +43,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conjecture import CHECKS, ConjectureReport, Pair, Verdict
 from .errors import CapExceeded, ParseError, ResumeMismatch, token_column
@@ -283,30 +284,16 @@ class SearchRecord:
 
     def line(self) -> str:
         r = self.report
-        parts = [
-            f"a={self.a_id}",
-            f"b={self.b_id}",
-            f"tr_a={r.tr_a}",
-            f"tr_b={r.tr_b}",
-            f"tr_ab={r.tr_ab}",
-            f"b_a={r.b_a}",
-            f"i_a={r.i_a}",
-            f"b_b={r.b_b}",
-            f"i_b={r.i_b}",
-            f"b_ab={r.b_ab}",
-            f"i_ab={r.i_ab}",
-            f"main={r.main.value}",
-            f"strong={_fmt_bool(r.strong_holds)}",
-            f"ib={_fmt_bool(r.ib_holds)}",
-            f"boundary_form={_fmt_opt(r.boundary_form_holds)}",
-            f"case={r.case.value}",
-            f"extremal={_fmt_opt(r.extremal)}",
-        ]
-        for name in CHECK_NAMES:
-            if name in self.checks:
-                val = self.checks[name]
-                parts.append(f"{name}={'skip' if val is None else _fmt_bool(val)}")
-        return " ".join(parts)
+        checks = self.checks
+        tail = "".join([
+            f" {name}={'skip' if checks[name] is None else _fmt_bool(checks[name])}"
+            for name in CHECK_NAMES if name in checks])
+        return (
+            f"a={self.a_id} b={self.b_id} tr_a={r.tr_a} tr_b={r.tr_b} tr_ab={r.tr_ab}"
+            f" b_a={r.b_a} i_a={r.i_a} b_b={r.b_b} i_b={r.i_b} b_ab={r.b_ab}"
+            f" i_ab={r.i_ab} main={r.main.value} strong={_fmt_bool(r.strong_holds)}"
+            f" ib={_fmt_bool(r.ib_holds)} boundary_form={_fmt_opt(r.boundary_form_holds)}"
+            f" case={r.case.value} extremal={_fmt_opt(r.extremal)}{tail}")
 
 
 def _fmt_bool(v: bool) -> str:
@@ -374,10 +361,10 @@ def _shard_files(cfg: SearchConfig) -> List[str]:
     return sorted(glob.glob(glob.escape(f"{cfg.checkpoint_path}.shard") + "[0-9]*"))
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -469,15 +456,15 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
                               False in checks.values())
             if visited % _CHECKPOINT_EVERY == 0:
                 out.flush()
-                _atomic_write(state_path, json.dumps({
+                _atomic_write(state_path, [json.dumps({
                     "config": fingerprint, "visited": visited,
                     "records": tally.records, "complete": False,
-                }))
+                })])
         out.flush()
-    _atomic_write(state_path, json.dumps({
+    _atomic_write(state_path, [json.dumps({
         "config": fingerprint, "visited": visited, "records": tally.records,
         "complete": True, "tally": asdict(tally),
-    }))
+    })])
     return tally
 
 
@@ -560,6 +547,9 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
     """Run a sweep to completion and write the sorted merged report."""
     cfg.validate()  # before normalized(), which drops unknown check names
     cfg = cfg.normalized()
+    if os.path.isdir(cfg.report_path):  # found now, not after the sweep
+        raise IsADirectoryError(errno.EISDIR, "report path is a directory",
+                                cfg.report_path)
     fingerprint = cfg.fingerprint()
     t0 = time.perf_counter()
 
@@ -586,13 +576,16 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
     for shard, part in enumerate(parts):
         records_path, _ = _shard_paths(cfg, shard)
         with open(records_path, "r", encoding="utf-8") as fh:
-            lines.extend(line.rstrip("\n") for line in fh if line.strip())
+            # kept with their newlines, which sort the same: no record line
+            # holds a character below "\n"
+            lines.extend(line if line.endswith("\n") else line + "\n"
+                         for line in fh if line.strip())
         for verdict, n in part.verdicts.items():
             tally.verdicts[verdict] += n
         tally.fails += part.fails
         tally.check_failures += part.check_failures
     lines.sort()
-    _atomic_write(cfg.report_path, "".join(line + "\n" for line in lines))
+    _atomic_write(cfg.report_path, lines)
 
     for path in _shard_files(cfg):
         os.remove(path)

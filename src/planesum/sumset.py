@@ -43,21 +43,15 @@ class SumDecomposition(NamedTuple):
     Points are plain ``(x, y)`` tuples, which compare and hash equal to
     ``Point``s. ``hull_vertices`` and ``edge_normals`` are in the order that
     ``classify_points`` gives them: CCW from the lexicographically smallest
-    vertex.
+    vertex. ``b`` and ``i`` are the boundary and interior counts.
     """
 
     points: set
     hull_vertices: tuple
     boundary: frozenset
     edge_normals: tuple
-
-    @property
-    def b(self) -> int:
-        return len(self.boundary)
-
-    @property
-    def i(self) -> int:
-        return len(self.points) - len(self.boundary)
+    b: int
+    i: int
 
 
 def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomposition:
@@ -100,11 +94,14 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomp
         x += sx
         y += sy
     boundary.extend(vertices)
+    b = len(boundary)
     return SumDecomposition(
         points=pts,
         hull_vertices=tuple(vertices),
         boundary=frozenset(boundary),
         edge_normals=tuple(row[3] for row in merged),
+        b=b,
+        i=len(pts) - b,
     )
 
 

@@ -141,6 +141,35 @@ class TestSearch:
         assert "unknown check" in capsys.readouterr().err
 
 
+class TestDirectoryPaths:
+    """A directory where a file is expected is an input error, exit 2."""
+
+    def test_search_report_is_directory(self, tmp_path, capsys):
+        report = tmp_path / "out"
+        report.mkdir()
+        code = cli_dispatch(["search", "--grid", "2x2", "--report", str(report)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "is a directory" in captured.err
+        assert captured.out == ""
+        # rejected before any shard file or temp report is written
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert not list(report.iterdir())
+
+    def test_check_input_is_directory(self, tmp_path, pts, capsys):
+        code = cli_dispatch(["check", str(tmp_path), pts("b.pts", TRI)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_summarize_input_is_directory(self, tmp_path, capsys):
+        code = cli_dispatch(["report", "summarize", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+
 class TestFamily:
     def test_square_family(self, pts, capsys):
         square = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])

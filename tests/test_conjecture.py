@@ -19,9 +19,12 @@ from planesum import (
     check_sum_boundary,
     check_unique_rep_bound,
     classify_points,
+    convex_hull,
     equality_family,
+    is_ap_same_difference,
     minkowski_sum,
     sqrt_triple_compare,
+    support_set,
     unique_representation,
 )
 from planesum.conjecture import CHECKS
@@ -44,6 +47,13 @@ noncollinear = st.builds(
     != (q.y - s.points[0].y) * (r.x - s.points[0].x)
     for q in s for r in s
 ))
+
+# small boxes, so that summands often share edge directions with several
+# points on them
+box_noncollinear = st.builds(
+    PointSet, st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=3,
+                       max_size=12)
+).filter(lambda s: len(convex_hull(s)) >= 3)
 
 # dropping the interior leaves the hull (hence non-collinearity) intact
 boundary_only = noncollinear.map(lambda s: classify_points(s).boundary)
@@ -245,6 +255,44 @@ class TestBoundarySuperadditivity:
     @settings(max_examples=100, deadline=None)
     def test_consistent_on_random_pairs(self, a, b):
         assert check_boundary_superadditivity(a, b).ok
+
+    @staticmethod
+    def _ap_condition_reference(a, b):
+        """The progression condition over every edge normal of the oracle sum:
+        where both support sets have two or more points, they must be
+        same-difference progressions."""
+        for u in classify_points(minkowski_sum(a, b)).edge_normals:
+            su_a, su_b = support_set(a, u), support_set(b, u)
+            if len(su_a) >= 2 and len(su_b) >= 2 and not is_ap_same_difference(su_a, su_b):
+                return False
+        return True
+
+    @pytest.mark.parametrize("a, b, expected", [
+        # bottom edges on y = 0 against {0, 1, 2}: not a progression, another step
+        ([(0, 0), (1, 0), (3, 0), (0, 1)], [(0, 0), (1, 0), (2, 0), (0, 1)], False),
+        ([(0, 0), (1, 0), (3, 0), (0, 1)], [(0, 0), (1, 0), (3, 0), (0, 2)], False),
+        ([(0, 0), (2, 0), (4, 0), (0, 1)], [(0, 0), (1, 0), (2, 0), (0, 1)], False),
+        ([(0, 0), (1, 0), (2, 0), (0, 1)], [(5, 3), (6, 3), (7, 3), (5, 4)], True),
+        # parallel edges of different lengths, same step or not
+        ([(0, 0), (2, 0), (4, 0), (0, 1)], [(0, 0), (2, 0), (1, 2)], True),
+        ([(0, 0), (1, 0), (2, 0), (0, 1)], [(0, 0), (1, 0), (0, 1), (0, 2)], True),
+        ([(0, 0), (1, 0), (2, 0), (0, 1)], [(0, 0), (1, 0), (0, 2)], False),
+        ([(0, 0), (1, 0), (2, 0), (0, 1)], [(0, 0), (2, 0), (0, 1)], False),
+        # parallel but opposite normals are not shared directions
+        ([(0, 0), (1, 0), (3, 0), (0, 1)], [(0, 1), (1, 1), (2, 1), (1, 0)], True),
+    ])
+    def test_ap_condition_examples(self, a, b, expected):
+        a, b = PointSet(a), PointSet(b)
+        r = check_boundary_superadditivity(a, b)
+        assert r.ap_condition == self._ap_condition_reference(a, b) == expected
+        assert r.ok
+
+    @given(st.one_of(noncollinear, box_noncollinear), box_noncollinear)
+    @settings(max_examples=300, deadline=None)
+    def test_ap_condition_matches_reference(self, a, b):
+        for x, y in ((a, b), (b, a)):
+            r = check_boundary_superadditivity(x, y)
+            assert r.ap_condition == self._ap_condition_reference(x, y)
 
 
 class TestUniqueRepBound:

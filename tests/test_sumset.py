@@ -208,10 +208,18 @@ class TestMemoTables:
         st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0)),
         min_size=1, max_size=6))
     @settings(max_examples=120, deadline=None)
-    def test_support_matches_support_set(self, d, vectors):
-        for dx, dy in vectors + vectors:  # the second round reads the memo
+    def test_edge_steps_match_support_set(self, d, vectors):
+        assert list(d.edge_steps) == [(u.dx, u.dy) for u in d.edge_normals]
+        for u in d.edge_normals:
+            pts = support_set(d.points, u).points
+            steps = {(q.x - p.x, q.y - p.y) for p, q in zip(pts, pts[1:])}
+            assert len(pts) >= 2
+            assert d.edge_steps[(u.dx, u.dy)] == (steps.pop() if len(steps) == 1 else None)
+        # any other direction supports a single point, so no table row is missing
+        for dx, dy in vectors:
             u = Direction.of(dx, dy)
-            assert d.support(u) == support_set(d.points, u)
+            if (u.dx, u.dy) not in d.edge_steps:
+                assert len(support_set(d.points, u)) == 1
 
     @given(summands, summands)
     @settings(max_examples=120, deadline=None)
