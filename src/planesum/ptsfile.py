@@ -16,13 +16,23 @@ from .errors import ParseError, token_column
 from .geometry import Point, PointSet
 
 _INT = re.compile(r"[+-]?\d+$")
+# a plain "x y" line; ``\s`` is the whitespace that ``str.split`` splits on
+_XY_LINE = re.compile(r"\s*([+-]?\d+)\s+([+-]?\d+)\s*")
 
 
 def parse_point_set(text: str, source: str = "<string>") -> PointSet:
     """Parse point-set text; raise ParseError with line/column on bad input."""
-    points: List[Point] = []
+    points: List[tuple] = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _XY_LINE.fullmatch(raw)
+        if m is not None:
+            p = (int(m[1]), int(m[2]))  # PointSet makes the Point
+            if p not in seen:
+                seen.add(p)
+                points.append(p)
+                continue
+        # blank, comment, duplicate or malformed: diagnosed token by token
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

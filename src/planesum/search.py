@@ -547,9 +547,17 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
     """Run a sweep to completion and write the sorted merged report."""
     cfg.validate()  # before normalized(), which drops unknown check names
     cfg = cfg.normalized()
-    if os.path.isdir(cfg.report_path):  # found now, not after the sweep
+    # found now, not at the merge after the sweep has written its shards
+    if os.path.isdir(cfg.report_path):
         raise IsADirectoryError(errno.EISDIR, "report path is a directory",
                                 cfg.report_path)
+    report_dir = os.path.dirname(cfg.report_path) or os.curdir
+    if not os.path.exists(report_dir):
+        raise FileNotFoundError(errno.ENOENT, "report directory does not exist",
+                                report_dir)
+    if not os.path.isdir(report_dir):
+        raise NotADirectoryError(errno.ENOTDIR, "report directory is not a directory",
+                                 report_dir)
     fingerprint = cfg.fingerprint()
     t0 = time.perf_counter()
 

@@ -34,7 +34,8 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
     """All pairwise sums {p + q : p in a, q in b}."""
     if not len(a) or not len(b):
         raise ValueError("minkowski_sum needs nonempty sets")
-    return PointSet(Point(p.x + q.x, p.y + q.y) for p in a for q in b)
+    # distinct sums as int tuples first: one Point per sum, not per product
+    return PointSet({(px + qx, py + qy) for px, py in a.points for qx, qy in b.points})
 
 
 class SumDecomposition(NamedTuple):
@@ -56,7 +57,7 @@ class SumDecomposition(NamedTuple):
 
 def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomposition:
     """Boundary/interior split of A + B from the decompositions of A and B."""
-    pts = {(ax + bx, ay + by) for ax, ay in da.points for bx, by in db.points}
+    pts = {(ax + bx, ay + by) for ax, ay in da.points.points for bx, by in db.points.points}
     ea, eb = da.edge_table, db.edge_table
     na, nb = len(ea), len(eb)
     # merge the two edge cycles by angle; rows are (half, sx, sy, g, normal)

@@ -14,6 +14,16 @@ the boundary segments it can see. The fringe is kept as the full cycle of
 boundary points, collinear ones included, which keeps later fans from
 spanning across an earlier point sitting flush on a boundary segment.
 
+The fringe is a linked CCW cycle (a next and a previous map), and an
+insertion touches only the edges it sees plus one on each side. The point
+inserted last is the lexicographic maximum so far, hence a strict hull
+vertex whose two edges both lead to lexicographically smaller points; the
+cone they span holds no point that is lexicographically larger, so the new
+point sees at least one of those two edges. The visible edges form one
+chain, found by walking outwards from there, and the triangles come in the
+same CCW order as a scan of every fringe edge would give them. After the
+sort, all insertions together take time linear in the number of points.
+
 ``twice_hull_area`` is the shoelace sum over hull vertices. For a set that
 contains every lattice point of its hull it equals b + 2i - 2 (Pick's
 theorem), which the test suite exploits as a third independent route.
@@ -87,36 +97,39 @@ def triangulate_explicit(points: Union[PointSet, Iterable[Coords]]) -> Triangula
     triangles: List[Triangle] = [
         _ccw_triangle(pts[j], pts[j + 1], apex) for j in range(k - 1)
     ]
-    if orientation(pts[0], pts[1], apex) > 0:
-        fringe = pts[:k] + [apex]
-    else:
-        fringe = list(reversed(pts[:k])) + [apex]
+    cycle = pts[:k] if orientation(pts[0], pts[1], apex) > 0 else pts[k - 1::-1]
+    cycle.append(apex)
+    # the fringe as a linked CCW cycle: u -> nxt[u] is an edge, prv undoes nxt
+    nxt = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    prv = dict(zip(cycle, cycle[-1:] + cycle[:-1]))
 
+    last = apex
     for p in pts[k + 1:]:
-        n = len(fringe)
-        visible = [
-            j for j in range(n)
-            if orientation(fringe[j], fringe[(j + 1) % n], p) < 0
-        ]
-        if not visible or len(visible) == n:
+        # The edge u -> w is visible from p when p is strictly right of it.
+        # ``last`` is the lexicographic maximum so far, so p lies outside its
+        # vertex cone and sees at least one of its two edges.
+        if orientation(last, nxt[last], p) < 0:
+            u = last
+        elif orientation(prv[last], last, p) < 0:
+            u = prv[last]
+        else:
             raise AssertionError(f"point {tuple(p)} not strictly outside the fringe")
-        vis = set(visible)
-        start = next(j for j in visible if (j - 1) % n not in vis)
-        end = next(j for j in visible if (j + 1) % n not in vis)
-        j = start
+        w = nxt[u]
+        # extend the visible chain both ways: back to its first tail ...
+        while orientation(prv[u], u, p) < 0:
+            u = prv[u]
+            if u == w:
+                raise AssertionError(f"point {tuple(p)} not strictly outside the fringe")
+        # ... then forward from it, fanning p to each visible edge in CCW order
+        start = u
         while True:
-            triangles.append(_ccw_triangle(fringe[j], p, fringe[(j + 1) % n]))
-            if j == end:
+            w = nxt[u]
+            triangles.append(Triangle(u, p, w))  # CCW since p is right of u -> w
+            u = w
+            if orientation(u, nxt[u], p) >= 0:
                 break
-            j = (j + 1) % n
-        new_fringe = [p]
-        j = (end + 1) % n
-        while True:
-            new_fringe.append(fringe[j])
-            if j == start:
-                break
-            j = (j + 1) % n
-        fringe = new_fringe
+        nxt[start], prv[p], nxt[p], prv[u] = p, start, u, p
+        last = p
 
     return Triangulation(points=ps, triangles=tuple(triangles))
 

@@ -157,6 +157,24 @@ class TestDirectoryPaths:
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert not list(report.iterdir())
 
+    @pytest.mark.parametrize("parent, reason", [("missing", "does not exist"),
+                                                ("plain.txt", "is not a directory")])
+    def test_search_report_parent_not_a_directory(self, tmp_path, capsys, parent, reason):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (tmp_path / "plain.txt").write_text("")
+        code = cli_dispatch(["search", "--grid", "2x2",
+                             "--report", str(tmp_path / parent / "r.txt"),
+                             "--checkpoint", str(ckpt / "c")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert reason in captured.err
+        assert captured.out == ""
+        # rejected before the sweep: no shard file in the checkpoint directory
+        assert not list(ckpt.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt", "plain.txt"]
+
     def test_check_input_is_directory(self, tmp_path, pts, capsys):
         code = cli_dispatch(["check", str(tmp_path), pts("b.pts", TRI)])
         assert code == 2

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_sets import full_column_sets, saturated_sets
 from planesum import (
     CollinearInput,
     Direction,
@@ -157,6 +158,22 @@ class TestIntegerHull:
         assert interior_count([(0, 0), (1, 1), (2, 2)]) == 0
 
 
+def _classify_by_orientation(points):
+    """The classification that ``classify_points`` ran before its boundary
+    chain: a point is interior when it is strictly left of every hull edge
+    (n x h orientation tests). Returns (hull_vertices, boundary, interior)."""
+    ps = PointSet(points)
+    hull = convex_hull(ps)
+    if len(hull) < 3:
+        raise CollinearInput(f"{len(ps)} points spanning no area")
+    n = len(hull)
+    boundary, interior = [], []
+    for p in ps:
+        strict = all(orientation(hull[k], hull[(k + 1) % n], p) != 0 for k in range(n))
+        (interior if strict else boundary).append(p)
+    return hull, PointSet(boundary), PointSet(interior)
+
+
 class TestClassifyPoints:
     def test_triangle_is_all_boundary(self):
         d = classify_points(TRI)
@@ -195,6 +212,22 @@ class TestClassifyPoints:
             )
             assert (p in d.interior) == strict
             assert (p in d.boundary) == (not strict)
+
+    @given(st.one_of(st.lists(points, min_size=3, max_size=25), small_point_lists,
+                     saturated_sets(), full_column_sets()))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_orientation_reference(self, pts):
+        try:
+            hull, boundary, interior = _classify_by_orientation(pts)
+        except CollinearInput as exc:
+            with pytest.raises(CollinearInput, match=str(exc)):
+                classify_points(pts)
+            return
+        d = classify_points(pts)
+        assert d.hull_vertices == hull
+        assert all(type(v) is Point for v in d.hull_vertices)
+        assert d.boundary.points == boundary.points
+        assert d.interior.points == interior.points
 
     def test_partition_is_exact(self):
         d = classify_points(TRI_DOUBLE)

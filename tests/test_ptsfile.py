@@ -1,19 +1,94 @@
+import re
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planesum import (
     ParseError,
+    Point,
     PointSet,
     load_point_set,
     parse_point_set,
     save_point_set,
     serialize_point_set,
 )
+from planesum.errors import token_column
 
 coords = st.integers(min_value=-10**6, max_value=10**6)
 points = st.tuples(coords, coords)
 point_sets = st.lists(points, min_size=1, max_size=20).map(PointSet)
+
+# Point-set text with the cases a line parser must tell apart: plain lines,
+# odd whitespace, signs, multi-digit and non-ASCII digits, comments, blank
+# lines, duplicates (small coordinates), and malformed, missing or surplus
+# tokens.
+_space = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003", " \t "])
+_pad = st.one_of(st.just(""), _space)
+_int_token = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(str),  # repeats points
+    st.integers(min_value=-999, max_value=999).map(str),
+    st.sampled_from(["+1", "-0", "007", "+0", "-10", "+23", "\u0663", "-\u0661\u0662"]),
+)
+_bad_token = st.sampled_from(["x", "1.5", "--1", "+", "-", "1e3", "0x1", "\u00bd", "#"])
+_plain = st.tuples(_pad, _int_token, _space, _int_token, _pad).map("".join)
+_any_token = st.one_of(_int_token, _bad_token)
+_single = st.tuples(_pad, _any_token, _pad).map("".join)
+_pair = st.tuples(_pad, _any_token, _space, _any_token, _pad).map("".join)
+_tokens = st.tuples(_pad, st.lists(_any_token, min_size=1, max_size=3),
+                    _space, _pad).map(lambda t: t[0] + t[2].join(t[1]) + t[3])
+_comment = st.tuples(_pad, st.text(alphabet="# ab1", max_size=6)).map(lambda t: t[0] + "#" + t[1])
+# mostly plain lines, so that most texts parse and some repeat a point
+_line = st.integers(min_value=0, max_value=19).flatmap(
+    lambda k: _plain if k < 13 else (_comment, _pad, _pad, _single, _pair, _pair, _tokens)[k - 13])
+point_texts = st.tuples(st.lists(_line, max_size=12), st.sampled_from(["", "\n", "\r\n"])) \
+    .map(lambda t: t[1].join(t[0]) + t[1])
+
+_INT = re.compile(r"[+-]?\d+$")
+
+
+def _parse_per_token(text, source="<string>"):
+    """The parser before its one-regex fast path: every line is split into
+    tokens and each token is checked on its own. The reference the fast
+    path is held to."""
+    points = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = raw.split()
+        if len(tokens) != 2:
+            col = token_column(raw, 2) if len(tokens) > 2 else len(raw.rstrip()) + 1
+            what = "extra token" if len(tokens) > 2 else "expected two integers"
+            raise ParseError(f"{what} in {source!r}: {stripped!r}", lineno, col)
+        for k, tok in enumerate(tokens):
+            if not _INT.match(tok):
+                raise ParseError(
+                    f"not an integer in {source!r}: {tok!r}", lineno, token_column(raw, k)
+                )
+        p = Point(int(tokens[0]), int(tokens[1]))
+        if p in seen:
+            warnings.warn(f"{source}: duplicate point ({p.x}, {p.y}) on line {lineno} dropped")
+            continue
+        seen.add(p)
+        points.append(p)
+    if not points:
+        raise ParseError(f"no points in {source!r}", max(1, text.count(chr(10)) + 1), 1)
+    return PointSet(points)
+
+
+def _outcome(parse, text):
+    """What a parser gives on the text: the set or the ParseError's position
+    and message, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text, source="in.pts")
+        except ParseError as exc:
+            result = (exc.line, exc.column, str(exc))
+    return result, [str(w.message) for w in caught]
 
 
 class TestParse:
@@ -69,6 +144,11 @@ class TestParse:
     def test_empty_input_is_error(self):
         with pytest.raises(ParseError):
             parse_point_set("# nothing here\n\n")
+
+    @given(point_texts)
+    @settings(max_examples=300)
+    def test_matches_per_token_reference(self, text):
+        assert _outcome(parse_point_set, text) == _outcome(_parse_per_token, text)
 
     def test_error_message_carries_position(self):
         with pytest.raises(ParseError) as exc:

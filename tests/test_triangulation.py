@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_sets import full_column_sets, saturated_sets
 from planesum import (
     CollinearInput,
     PointSet,
+    Triangle,
     classify_points,
     convex_hull,
     is_lattice_saturated,
@@ -21,6 +23,50 @@ TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 coords = st.integers(min_value=-12, max_value=12)
 points = st.tuples(coords, coords)
 point_lists = st.lists(points, min_size=3, max_size=18)
+
+
+def _triangulate_full_scan(points):
+    """The insertion that ``triangulate_explicit`` ran before its linked
+    fringe: every fringe edge is tested against every new point. The
+    reference the linked fringe is held to, triangle for triangle."""
+
+    def ccw(a, b, c):
+        return Triangle(a, b, c) if orientation(a, b, c) > 0 else Triangle(a, c, b)
+
+    pts = list(PointSet(points).points)
+    if len(pts) < 3 or all(orientation(pts[0], pts[1], p) == 0 for p in pts[2:]):
+        raise CollinearInput("triangulation needs a non-collinear set")
+    k = 2
+    while orientation(pts[0], pts[1], pts[k]) == 0:
+        k += 1
+    apex = pts[k]
+    triangles = [ccw(pts[j], pts[j + 1], apex) for j in range(k - 1)]
+    if orientation(pts[0], pts[1], apex) > 0:
+        fringe = pts[:k] + [apex]
+    else:
+        fringe = list(reversed(pts[:k])) + [apex]
+    for p in pts[k + 1:]:
+        n = len(fringe)
+        visible = [j for j in range(n) if orientation(fringe[j], fringe[(j + 1) % n], p) < 0]
+        assert visible and len(visible) < n
+        vis = set(visible)
+        start = next(j for j in visible if (j - 1) % n not in vis)
+        end = next(j for j in visible if (j + 1) % n not in vis)
+        j = start
+        while True:
+            triangles.append(ccw(fringe[j], p, fringe[(j + 1) % n]))
+            if j == end:
+                break
+            j = (j + 1) % n
+        new_fringe = [p]
+        j = (end + 1) % n
+        while True:
+            new_fringe.append(fringe[j])
+            if j == start:
+                break
+            j = (j + 1) % n
+        fringe = new_fringe
+    return tuple(triangles)
 
 
 def _twice_area(t):
@@ -105,6 +151,23 @@ class TestExplicitTriangulation:
             _assert_valid_triangulation(pts)
         except CollinearInput:
             pass
+
+    @given(saturated_sets(max_span=16))
+    @settings(max_examples=40, deadline=None)
+    def test_validity_on_saturated_sets(self, pts):
+        # the pairwise emptiness check is quadratic, hence the smaller span
+        _assert_valid_triangulation(pts)
+
+    @given(st.one_of(point_lists, saturated_sets(), full_column_sets()))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_scan_reference(self, pts):
+        try:
+            expected = _triangulate_full_scan(pts)
+        except CollinearInput:
+            with pytest.raises(CollinearInput):
+                triangulate_explicit(pts)
+            return
+        assert triangulate_explicit(pts).triangles == expected
 
     @given(point_lists, points)
     @settings(max_examples=60, deadline=None)
