@@ -157,42 +157,18 @@ def convex_hull(points: Union[PointSet, Iterable[Coords]]) -> tuple:
         pts = sorted({Point(p[0], p[1]) for p in points})
     if not pts:
         raise ValueError("convex_hull of an empty set")
-    if len(pts) == 1:
-        return (pts[0],)
-    return tuple(_hull_chain(pts))
+    hull = _left_turns(_boundary_chain(pts))
+    if len(hull) < 3:
+        return (pts[0],) if len(pts) == 1 else (pts[0], pts[-1])
+    return hull
 
 
-def _hull_chain(pts: Sequence[tuple]) -> list:
-    """Monotone chain over at least two distinct points in lexicographic
-    order: the hull vertices as ``convex_hull`` orders them, of the same type
-    as the input (``Point``s or plain int tuples)."""
-
-    def half(seq):
-        chain = []
-        for p in seq:
-            x, y = p
-            while len(chain) >= 2:
-                ox, oy = chain[-2]
-                ax, ay = chain[-1]
-                # keep chain[-1] only on a strict left turn chain[-2] -> chain[-1] -> p
-                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
-                    break
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
-def _boundary_chain(pts: Sequence[Point]) -> list:
-    """``_hull_chain`` that pops only on a strict right turn: for a
-    non-collinear set in lexicographic order, every point on the hull
-    boundary, collinear ones included, each once, CCW from the smallest.
-
-    It is kept apart so that the hull chain, which every random-mode draw
-    runs through ``interior_count``, pays no extra test per turn."""
+def _boundary_chain(pts: Sequence[tuple]) -> list:
+    """Monotone chain over distinct points in lexicographic order that pops
+    a point only on a strict right turn: for a non-collinear set, every
+    point on the hull boundary, collinear ones included, each once, CCW
+    from the smallest, of the same type as the input (``Point``s or plain
+    int tuples)."""
 
     def half(seq):
         chain = []
@@ -213,6 +189,14 @@ def _boundary_chain(pts: Sequence[Point]) -> list:
     return lower[:-1] + upper[:-1]
 
 
+def _left_turns(cycle: list) -> tuple:
+    """The points where a closed cycle turns strictly left, in cycle order:
+    the hull vertices of a ``_boundary_chain`` cycle, and none at all when
+    the points are collinear."""
+    return tuple(q for p, q, r in zip(cycle[-1:] + cycle[:-1], cycle, cycle[1:] + cycle[:1])
+                 if (q[0] - p[0]) * (r[1] - p[1]) > (q[1] - p[1]) * (r[0] - p[0]))
+
+
 def interior_count(coords: Iterable[Coords]) -> int:
     """Number of points of the set strictly inside its convex hull.
 
@@ -220,22 +204,9 @@ def interior_count(coords: Iterable[Coords]) -> int:
     a collinear one, but builds no ``Point``, ``PointSet`` or decomposition.
     """
     pts = sorted(set(coords))
-    if len(pts) < 3:
+    if _collinear(pts):
         return 0
-    hull = _hull_chain(pts)
-    if len(hull) == len(pts):
-        return 0
-    # edge a -> b as (dx, dy, k): p is strictly left of it iff dx*y - dy*x > k
-    edges = [(bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax)
-             for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1])]
-    count = 0
-    for x, y in pts:
-        for dx, dy, k in edges:
-            if dx * y - dy * x <= k:
-                break
-        else:
-            count += 1
-    return count
+    return len(pts) - len(_boundary_chain(pts))
 
 
 @dataclass(frozen=True)
@@ -298,8 +269,9 @@ class HullDecomposition:
 
     @cached_property
     def edge_normals(self) -> tuple:
-        """Primitive outward normal of each CCW hull edge, in edge order."""
-        return tuple(_outward_normal(a, b) for a, b in self.hull_edges)
+        """Primitive outward normal of each CCW hull edge, in edge order: the
+        edge's primitive step turned a quarter turn clockwise."""
+        return tuple(Direction(sy, -sx) for _, sx, sy, _ in self.edge_table)
 
     @cached_property
     def cones(self) -> dict:
@@ -325,7 +297,7 @@ class HullDecomposition:
 
     @cached_property
     def edge_table(self) -> tuple:
-        """(half, sx, sy, g, normal) per CCW hull edge, from the first vertex.
+        """(half, sx, sy, g) per CCW hull edge, from the first vertex.
 
         The edge vector is g times the primitive step (sx, sy). ``half`` is
         0 for edge angles in (-pi/2, pi/2] and 1 for (pi/2, 3pi/2]. The
@@ -334,17 +306,17 @@ class HullDecomposition:
         in which ``sum_decomposition`` merges two hulls.
         """
         rows = []
-        for (a, b), u in zip(self.hull_edges, self.edge_normals):
+        for a, b in self.hull_edges:
             dx, dy = b.x - a.x, b.y - a.y
             g = math.gcd(dx, dy)
             half = 0 if dx > 0 or (dx == 0 and dy > 0) else 1
-            rows.append((half, dx // g, dy // g, g, u))
+            rows.append((half, dx // g, dy // g, g))
         return tuple(rows)
 
     @cached_property
     def edge_lines(self) -> frozenset:
         """Hull edge directions up to sign, each as ``_line_key`` gives it."""
-        return frozenset(_line_key(sx, sy) for _, sx, sy, _, _ in self.edge_table)
+        return frozenset(_line_key(sx, sy) for _, sx, sy, _ in self.edge_table)
 
     @cached_property
     def cone_rows(self) -> tuple:
@@ -387,10 +359,6 @@ class HullDecomposition:
         return arc
 
 
-def _outward_normal(a: Point, b: Point) -> Direction:
-    return Direction.of(b.y - a.y, -(b.x - a.x))
-
-
 def _on_segment(p: Coords, a: Coords, b: Coords) -> bool:
     """Whether p lies on the closed segment [a, b]."""
     return orientation(a, b, p) == 0 and (
@@ -411,8 +379,9 @@ def _line_key(dx: int, dy: int) -> tuple:
 def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposition:
     """Partition a non-collinear set into hull boundary and strict interior.
 
-    The boundary is one monotone chain over the sorted points that pops a
-    point only on a strict right turn: it keeps every point on a hull edge,
+    The boundary is the monotone chain over the sorted points that
+    ``convex_hull`` and ``interior_count`` also run, which pops a point only
+    on a strict right turn: it keeps every point on a hull edge,
     collinear ones included, and nothing strictly inside. The interior is
     the rest, and the hull vertices are the boundary points where the cycle
     turns. This is linear after the sort, where testing each point against
@@ -420,9 +389,7 @@ def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposit
     """
     ps = points if isinstance(points, PointSet) else PointSet(points)
     boundary = _boundary_chain(ps.points)
-    m = len(boundary)
-    hull = tuple(q for k, q in enumerate(boundary)
-                 if orientation(boundary[k - 1], q, boundary[(k + 1) % m]) > 0)
+    hull = _left_turns(boundary)
     if len(hull) < 3:
         convex_hull(ps)  # raises its ValueError on an empty set
         raise CollinearInput(f"{len(ps)} points spanning no area")

@@ -56,6 +56,7 @@ from .geometry import (
     convex_hull,
     interior_count,
 )
+from .sumset import _class_key
 from .triangulation import lattice_points_in_hull
 
 GRID_CELL_CAP = 25
@@ -81,14 +82,6 @@ _DIHEDRAL = (
 def _check_symmetry(symmetry: str) -> None:
     if symmetry not in SYMMETRIES:
         raise ValueError(f"unknown symmetry {symmetry!r}, expected one of {SYMMETRIES}")
-
-
-def _class_key(pts: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-    """A set's translation class: its points, sorted, shifted so that the
-    smallest is the origin (the points of ``canonical_translate``)."""
-    pts = sorted(pts)
-    x0, y0 = pts[0]
-    return tuple([(x - x0, y - y0) for x, y in pts])
 
 
 def _canonical(pts: Sequence[Tuple[int, int]], symmetry: str) -> Tuple[Tuple[int, int], ...]:
@@ -249,7 +242,7 @@ class SearchConfig:
             if f not in FILTER_NAMES:
                 raise ValueError(f"unknown filter {f!r}, expected one of {FILTER_NAMES}")
         for c in self.checks:
-            if c != "main" and c not in CHECK_NAMES:
+            if c not in CHECK_NAMES:
                 raise ValueError(f"unknown check {c!r}, expected one of {CHECK_NAMES}")
 
     def fingerprint(self) -> str:

@@ -13,7 +13,7 @@ same split from scratch and is the reference the tests hold the kernel to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import HullDecomposition, Point, PointSet
 
@@ -42,15 +42,14 @@ class SumDecomposition(NamedTuple):
     """Hull boundary and interior of A + B, as ``sum_decomposition`` finds them.
 
     Points are plain ``(x, y)`` tuples, which compare and hash equal to
-    ``Point``s. ``hull_vertices`` and ``edge_normals`` are in the order that
-    ``classify_points`` gives them: CCW from the lexicographically smallest
-    vertex. ``b`` and ``i`` are the boundary and interior counts.
+    ``Point``s. ``hull_vertices`` is in the order that ``classify_points``
+    gives it: CCW from the lexicographically smallest vertex. ``b`` and ``i``
+    are the boundary and interior counts.
     """
 
     points: set
     hull_vertices: tuple
     boundary: frozenset
-    edge_normals: tuple
     b: int
     i: int
 
@@ -60,22 +59,22 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomp
     pts = {(ax + bx, ay + by) for ax, ay in da.points.points for bx, by in db.points.points}
     ea, eb = da.edge_table, db.edge_table
     na, nb = len(ea), len(eb)
-    # merge the two edge cycles by angle; rows are (half, sx, sy, g, normal)
+    # merge the two edge cycles by angle; rows are (half, sx, sy, g)
     merged = []
     i = j = 0
     while i < na and j < nb:
-        ha, ax, ay, ga, ua = ea[i]
-        hb, bx, by, gb, ub = eb[j]
+        ha, ax, ay, ga = ea[i]
+        hb, bx, by, gb = eb[j]
         # within one half, parallel edges point the same way
         order = hb - ha if ha != hb else ax * by - ay * bx
         if order > 0:
-            merged.append((ax, ay, ga, ua))
+            merged.append((ax, ay, ga))
             i += 1
         elif order < 0:
-            merged.append((bx, by, gb, ub))
+            merged.append((bx, by, gb))
             j += 1
         else:
-            merged.append((ax, ay, ga + gb, ua))
+            merged.append((ax, ay, ga + gb))
             i += 1
             j += 1
     merged.extend(row[1:] for row in ea[i:])
@@ -85,7 +84,7 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomp
     x, y = a0[0] + b0[0], a0[1] + b0[1]
     vertices = []
     boundary = []
-    for sx, sy, g, _ in merged:
+    for sx, sy, g in merged:
         vertices.append((x, y))  # a vertex of A + B is a sum of vertices
         for _ in range(g - 1):
             x += sx
@@ -100,7 +99,6 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomp
         points=pts,
         hull_vertices=tuple(vertices),
         boundary=frozenset(boundary),
-        edge_normals=tuple(row[3] for row in merged),
         b=b,
         i=len(pts) - b,
     )
@@ -124,12 +122,19 @@ def unique_representation(a: PointSet, b: PointSet) -> Tuple[bool, Optional[SumW
     return False, SumWitness(point=collided, pairs=tuple(sorted(reps[collided])))
 
 
+def _class_key(pts: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """A nonempty set's translation class: its points, sorted, shifted so
+    that the smallest is the origin."""
+    pts = sorted(pts)
+    x0, y0 = pts[0]
+    return tuple([(x - x0, y - y0) for x, y in pts])
+
+
 def canonical_translate(s: PointSet) -> PointSet:
     """Translate so the lexicographically smallest point sits at the origin."""
     if not len(s):
         raise ValueError("canonical_translate of an empty set")
-    base = s.points[0]
-    return s.translate((-base.x, -base.y))
+    return PointSet(_class_key(s.points))
 
 
 def is_translate_of(a: PointSet, b: PointSet) -> bool:
@@ -138,4 +143,4 @@ def is_translate_of(a: PointSet, b: PointSet) -> bool:
         return False
     if not len(a):
         return True
-    return canonical_translate(a) == canonical_translate(b)
+    return _class_key(a.points) == _class_key(b.points)

@@ -35,7 +35,15 @@ from dataclasses import dataclass
 from typing import Iterable, List, NamedTuple, Union
 
 from .errors import CollinearInput
-from .geometry import Coords, HullDecomposition, Point, PointSet, convex_hull, orientation
+from .geometry import (
+    Coords,
+    HullDecomposition,
+    Point,
+    PointSet,
+    _collinear,
+    convex_hull,
+    orientation,
+)
 
 
 class Triangle(NamedTuple):
@@ -85,7 +93,7 @@ def triangulate_explicit(points: Union[PointSet, Iterable[Coords]]) -> Triangula
     """Build a triangulation of a non-collinear set by lexicographic insertion."""
     ps = points if isinstance(points, PointSet) else PointSet(points)
     pts = list(ps.points)
-    if len(pts) < 3 or all(orientation(pts[0], pts[1], p) == 0 for p in pts[2:]):
+    if _collinear(pts):
         raise CollinearInput("triangulation needs a non-collinear set")
 
     # Longest collinear prefix lies on one line; the first point off that

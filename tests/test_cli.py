@@ -134,8 +134,9 @@ class TestSearch:
         assert err == "error: min_pts must be at most the 2x2 grid's 4 cells\n"
         assert not list(tmp_path.iterdir())
 
-    def test_unknown_check_rejected(self, tmp_path, capsys):
-        code = cli_dispatch(["search", "--grid", "2x2", "--check", "vibes",
+    @pytest.mark.parametrize("check", ["vibes", "main"])
+    def test_unknown_check_rejected(self, tmp_path, capsys, check):
+        code = cli_dispatch(["search", "--grid", "2x2", "--check", check,
                              "--report", str(tmp_path / "out.txt")])
         assert code == 2
         assert "unknown check" in capsys.readouterr().err

@@ -130,16 +130,18 @@ def _hull_by_orientation(points):
 
 
 class TestIntegerHull:
-    @given(st.one_of(st.lists(points, min_size=1, max_size=30), small_point_lists))
-    @settings(max_examples=150)
+    @given(st.one_of(st.lists(points, min_size=1, max_size=30), small_point_lists,
+                     saturated_sets(), full_column_sets()))
+    @settings(max_examples=150, deadline=None)
     def test_convex_hull_matches_orientation_chain(self, pts):
         hull = convex_hull(pts)
         assert hull == _hull_by_orientation(pts)
         assert all(type(v) is Point for v in hull)
 
-    @given(st.one_of(st.lists(points, min_size=3, max_size=25), small_point_lists),
+    @given(st.one_of(st.lists(points, min_size=3, max_size=25), small_point_lists,
+                     saturated_sets(), full_column_sets()),
            points)
-    @settings(max_examples=200)
+    @settings(max_examples=200, deadline=None)
     def test_interior_count_matches_classify_points(self, pts, shift):
         moved = [(x + shift[0], y + shift[1]) for x, y in pts]
         try:

@@ -174,7 +174,6 @@ class TestSumDecomposition:
         assert got.points == set(ref.points)
         assert got.boundary == set(ref.boundary)
         assert got.hull_vertices == ref.hull_vertices
-        assert got.edge_normals == ref.edge_normals
 
     def test_triangle_doubled(self):
         d = classify_points(TRI)
