@@ -9,6 +9,11 @@ Subcommands:
 * ``family``: dilation pair of a lattice polygon, expected Equality.
 * ``report summarize FILE``: aggregate a sweep report.
 
+A call that names a subcommand builds only that subcommand's parser, from
+the same table that ``build_parser`` builds the whole tree from, so help and
+error text are unchanged; no command, ``--help``, an unknown command and
+leftover arguments are parsed by the whole tree.
+
 Exit codes: 0 success, 1 a check failed or a counterexample was found,
 2 usage or input errors, a path that cannot be read or written among them.
 PLANESUM_WORKERS overrides ``search --workers``.
@@ -144,28 +149,16 @@ def _cmd_report(args) -> int:
     return 1 if tally.flagged else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="planesum",
-        description="Exact planar sumset geometry and conjecture checking",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="full report for a pair of point sets")
+def _pair_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("a", help="first .pts file")
     p.add_argument("b", help="second .pts file")
-    p.set_defaults(fn=_cmd_check)
 
-    p = sub.add_parser("oracle", help="triangle count: formula vs construction")
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("points", help=".pts file")
-    p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("classify", help="structural case of a pair")
-    p.add_argument("a", help="first .pts file")
-    p.add_argument("b", help="second .pts file")
-    p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("search", help="sweep grid subsets for counterexamples")
+def _search_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=_parse_grid, required=True, metavar="WxH")
     p.add_argument("--min-pts", type=int, default=3, dest="min_pts")
     p.add_argument("--max-pts", type=int, default=None, dest="max_pts")
@@ -179,27 +172,68 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", choices=SYMMETRIES, default="translation")
     p.add_argument("--report", default="planesum-report.txt")
     p.add_argument("--checkpoint", default=None)
-    p.set_defaults(fn=_cmd_search)
 
-    p = sub.add_parser("family", help="dilation pair of a lattice polygon")
+
+def _family_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--polygon", required=True, help=".pts file of vertices")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(fn=_cmd_family)
 
-    p = sub.add_parser("report", help="operations on report files")
+
+def _report_arguments(p: argparse.ArgumentParser) -> None:
     rsub = p.add_subparsers(dest="subcommand", required=True)
     rp = rsub.add_parser("summarize", help="aggregate a report file")
     rp.add_argument("file")
-    rp.set_defaults(fn=_cmd_report)
 
+
+# Each subcommand once: name, help line, arguments, handler. build_parser
+# makes the full tree of them; a call that names one builds that one alone.
+_COMMANDS = (
+    ("check", "full report for a pair of point sets", _pair_arguments, _cmd_check),
+    ("oracle", "triangle count: formula vs construction", _oracle_arguments, _cmd_oracle),
+    ("classify", "structural case of a pair", _pair_arguments, _cmd_classify),
+    ("search", "sweep grid subsets for counterexamples", _search_arguments, _cmd_search),
+    ("family", "dilation pair of a lattice polygon", _family_arguments, _cmd_family),
+    ("report", "operations on report files", _report_arguments, _cmd_report),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: it parses an empty command line, ``--help``
+    and an unknown command."""
+    parser = argparse.ArgumentParser(
+        prog="planesum",
+        description="Exact planar sumset geometry and conjecture checking",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_line, add_arguments, fn in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """Parse argv with the parser of the subcommand that argv[0] names, built
+    alone as the tree's subparser is, so it prints the same usage, help and
+    errors. Arguments left over are reported by the top-level parser of the
+    tree, so that case, and any argv that names no subcommand, goes to it."""
+    for name, _, add_arguments, fn in _COMMANDS:
+        if argv and argv[0] == name:
+            p = argparse.ArgumentParser(prog=f"planesum {name}")
+            add_arguments(p)
+            p.set_defaults(fn=fn)
+            args, extra = p.parse_known_args(argv[1:])
+            if not extra:
+                return args
+            break
+    return build_parser().parse_args(argv)
+
+
 def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -96,9 +96,19 @@ class PointSet:
     __slots__ = ("points", "_members")
 
     def __init__(self, points: Iterable[Coords]):
-        pts = sorted({Point(p[0], p[1]) for p in points})
-        object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "_members", frozenset(pts))
+        self._store(tuple(sorted({Point(p[0], p[1]) for p in points})))
+
+    @classmethod
+    def _sorted(cls, points: Iterable[Point]) -> "PointSet":
+        """The set of ``Point``s that the caller knows to be strictly
+        increasing, stored as given: no new ``Point`` and no sort."""
+        s = object.__new__(cls)
+        s._store(tuple(points))
+        return s
+
+    def _store(self, points: tuple) -> None:
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_members", frozenset(points))
 
     def __setattr__(self, name, value):
         raise AttributeError("PointSet is immutable")
@@ -393,12 +403,14 @@ def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposit
     if len(hull) < 3:
         convex_hull(ps)  # raises its ValueError on an empty set
         raise CollinearInput(f"{len(ps)} points spanning no area")
-    on_hull = set(boundary)
+    # the chain holds each boundary point of ps once, and the interior is a
+    # filter of the sorted ps: both are sorted distinct Points already
+    on_hull = PointSet._sorted(sorted(boundary))
     return HullDecomposition(
         points=ps,
         hull_vertices=hull,
-        boundary=PointSet(boundary),
-        interior=PointSet(p for p in ps.points if p not in on_hull),
+        boundary=on_hull,
+        interior=PointSet._sorted(p for p in ps.points if p not in on_hull._members),
     )
 
 

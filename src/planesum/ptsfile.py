@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import List
-
 from .errors import ParseError, token_column
 from .geometry import Point, PointSet
 
@@ -22,15 +20,13 @@ _XY_LINE = re.compile(r"\s*([+-]?\d+)\s+([+-]?\d+)\s*")
 
 def parse_point_set(text: str, source: str = "<string>") -> PointSet:
     """Parse point-set text; raise ParseError with line/column on bad input."""
-    points: List[tuple] = []
-    seen = set()
+    seen = set()  # the distinct points, as int tuples
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _XY_LINE.fullmatch(raw)
         if m is not None:
-            p = (int(m[1]), int(m[2]))  # PointSet makes the Point
+            p = (int(m[1]), int(m[2]))
             if p not in seen:
                 seen.add(p)
-                points.append(p)
                 continue
         # blank, comment, duplicate or malformed: diagnosed token by token
         stripped = raw.strip()
@@ -46,17 +42,17 @@ def parse_point_set(text: str, source: str = "<string>") -> PointSet:
                 raise ParseError(
                     f"not an integer in {source!r}: {tok!r}", lineno, token_column(raw, k)
                 )
-        p = Point(int(tokens[0]), int(tokens[1]))
+        p = (int(tokens[0]), int(tokens[1]))
         if p in seen:
             warnings.warn(
-                f"{source}: duplicate point ({p.x}, {p.y}) on line {lineno} dropped"
+                f"{source}: duplicate point ({p[0]}, {p[1]}) on line {lineno} dropped"
             )
             continue
         seen.add(p)
-        points.append(p)
-    if not points:
+    if not seen:
         raise ParseError(f"no points in {source!r}", max(1, text.count(chr(10)) + 1), 1)
-    return PointSet(points)
+    # sorted as plain tuples, which compare faster than Points; then one Point each
+    return PointSet._sorted(map(Point._make, sorted(seen)))
 
 
 def load_point_set(path: str) -> PointSet:

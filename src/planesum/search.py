@@ -41,7 +41,6 @@ import json
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -568,6 +567,9 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
     if processes == 1:
         parts = [run_shard(cfg, shard) for shard in range(cfg.workers)]
     else:
+        # imported here: it loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(run_shard, cfg, k) for k in range(cfg.workers)]
             parts = [fut.result() for fut in futures]

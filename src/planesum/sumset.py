@@ -34,8 +34,10 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
     """All pairwise sums {p + q : p in a, q in b}."""
     if not len(a) or not len(b):
         raise ValueError("minkowski_sum needs nonempty sets")
-    # distinct sums as int tuples first: one Point per sum, not per product
-    return PointSet({(px + qx, py + qy) for px, py in a.points for qx, qy in b.points})
+    # distinct sums as int tuples first: one Point per sum, not per product,
+    # made after the sort, which compares plain tuples faster than Points
+    sums = {(px + qx, py + qy) for px, py in a.points for qx, qy in b.points}
+    return PointSet._sorted(map(Point._make, sorted(sums)))
 
 
 class SumDecomposition(NamedTuple):

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 import planesum.cli as cli_mod
 from planesum import PointSet, save_point_set
-from planesum.cli import cli_dispatch
+from planesum.cli import build_parser, cli_dispatch
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 TRI_DOUBLE = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
@@ -263,3 +267,76 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 2
+
+    def test_argv_defaults_to_sys_argv(self, pts, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["planesum", "oracle", pts("s.pts", SIMPLEX3)])
+        assert cli_dispatch() == 0
+        assert capsys.readouterr().out.strip() == "euler=9 explicit=9 OK"
+
+    def test_named_command_does_not_build_the_tree(self, pts, capsys, monkeypatch):
+        def no_tree():
+            raise AssertionError("built the whole parser tree")
+
+        monkeypatch.setattr(cli_mod, "build_parser", no_tree)
+        assert cli_dispatch(["check", pts("a.pts", TRI), pts("b.pts", TRI)]) == 0
+        assert cli_dispatch(["oracle", pts("s.pts", SIMPLEX3)]) == 0
+
+
+def _pair_cases(name, nargs):
+    files = ["a.pts", "b.pts"][:nargs]
+    return [[name, "--help"], [name] + files[:-1], [name] + files + ["extra.pts"],
+            [name] + files + ["--bogus"], [name, "--bogus"] + files]
+
+
+# command lines that end in usage, help or an error, never in a command
+USAGE_CASES = (
+    [[], ["-h"], ["--help"], ["frobnicate"], ["-h", "check"], ["--bogus", "check"]]
+    + _pair_cases("check", 2) + _pair_cases("classify", 2) + _pair_cases("oracle", 1)
+    + [
+        ["search", "--help"], ["search"], ["search", "--grid", "2x2", "stray"],
+        ["search", "--grid", "2x2", "--bogus"], ["search", "--grid", "3by3"],
+        ["search", "--grid", "2x2", "--mode", "bogus"],
+        ["search", "--grid", "2x2", "--seed", "x"],
+        ["search", "--grid", "2x2", "--symmetry", "bogus"],
+        ["family", "--help"], ["family", "--k", "1", "--m", "1"],
+        ["family", "--polygon", "p.pts", "--k", "1", "--m", "1", "stray"],
+        ["family", "--polygon", "p.pts", "--k", "1", "--m", "1", "--bogus"],
+        ["family", "--polygon", "p.pts", "--k", "x", "--m", "1"],
+        ["report"], ["report", "--help"], ["report", "summarize"],
+        ["report", "summarize", "--help"], ["report", "bogus"],
+        ["report", "summarize", "r.txt", "extra.txt"],
+        ["report", "summarize", "r.txt", "--bogus"],
+    ]
+)
+
+
+class TestParserDifferential:
+    """A call parses with the named subcommand's parser alone; it prints what
+    the whole tree of ``build_parser`` prints, and exits with its code."""
+
+    @pytest.mark.parametrize("argv", USAGE_CASES, ids=" ".join)
+    def test_same_output_as_the_whole_tree(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        code = exc.value.code if isinstance(exc.value.code, int) else 2
+        expected = capsys.readouterr()
+        assert cli_dispatch(argv) == code
+        assert capsys.readouterr() == expected
+
+    def test_every_subcommand_covered(self):
+        covered = {argv[0] for argv in USAGE_CASES if argv}
+        assert {name for name, *_ in cli_mod._COMMANDS} <= covered
+
+
+def test_import_loads_no_process_pool():
+    # only search with more than one worker starts a pool, so only it pays
+    # for importing multiprocessing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, planesum.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

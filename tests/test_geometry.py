@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from planesum import (
     generic_direction,
     interior_count,
     is_ap_same_difference,
+    minkowski_sum,
     normal_cone,
     orientation,
+    parse_point_set,
     support_set,
 )
 
@@ -235,6 +238,61 @@ class TestClassifyPoints:
         d = classify_points(TRI_DOUBLE)
         assert d.b + d.i == len(TRI_DOUBLE)
         assert (d.b, d.i) == (6, 0)
+
+
+def _assert_built_as_public(s, coords):
+    """s is the set that the public ``PointSet(coords)`` builds, and holds what
+    it holds: strictly increasing ``Point``s, each a member."""
+    assert s == PointSet(coords)
+    assert all(p < q for p, q in zip(s.points, s.points[1:]))
+    assert all(type(p) is Point for p in s.points)
+    assert all(p in s for p in s.points)
+    assert all(tuple(c) in s for c in coords)
+
+
+any_sets = st.one_of(st.lists(points, min_size=1, max_size=25), small_point_lists,
+                     saturated_sets(), full_column_sets())
+# sums of these stay small enough to build from every pair
+summands = st.one_of(st.lists(points, min_size=1, max_size=25), small_point_lists,
+                     saturated_sets(max_span=6), full_column_sets())
+
+
+class TestSortedConstructor:
+    """The kernels that store sorted points without a second sort give the
+    sets that the public constructor gives."""
+
+    @given(any_sets, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_parse_point_set(self, coords, rnd):
+        dups = [rnd.choice(coords) for _ in range(rnd.randrange(4))]
+        lines = [rnd.choice(("{} {}", " {}\t{} ", "{}  {}")).format(x, y)
+                 for x, y in coords + dups]
+        lines += ["# comment", "", "   # indented"]
+        rnd.shuffle(lines)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = parse_point_set("\n".join(lines))
+        _assert_built_as_public(s, coords)
+        # one warning per line that repeats an earlier point
+        assert len(caught) == len(coords) + len(dups) - len(set(coords))
+        assert all("duplicate point" in str(w.message) for w in caught)
+
+    @given(summands, summands)
+    @settings(max_examples=100, deadline=None)
+    def test_minkowski_sum(self, a, b):
+        s = minkowski_sum(PointSet(a), PointSet(b))
+        _assert_built_as_public(s, [(p[0] + q[0], p[1] + q[1]) for p in a for q in b])
+
+    @given(any_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_classify_points_parts(self, coords):
+        try:
+            _, boundary, interior = _classify_by_orientation(coords)
+        except CollinearInput:
+            return
+        d = classify_points(coords)
+        _assert_built_as_public(d.boundary, boundary.points)
+        _assert_built_as_public(d.interior, interior.points)
 
 
 class TestSupportSet:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -545,7 +546,8 @@ class InlinePool:
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(InlinePool, "created", [])
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InlinePool)
+    # run_search imports the pool class from here when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return InlinePool
 
 
