@@ -62,7 +62,7 @@ from .geometry import (
     HullDecomposition,
     Point,
     PointSet,
-    _on_segment,
+    _collinear,
     classify_points,
     convex_hull,
     generic_direction,
@@ -420,8 +420,9 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
 
 
 def _low_arc_flat(arc: ArcDecomposition) -> bool:
-    """Whether the lower arc lies on the segment [l, r]."""
-    return all(_on_segment(q, arc.l, arc.r) for q in arc.low)
+    """Whether the lower arc lies on the segment [l, r]: l and r are the
+    set's unique extremes across v, so a point on their line lies between."""
+    return _collinear((arc.l, arc.r, *arc.low.points))
 
 
 def _extreme_segments_parallel(arc_x: ArcDecomposition, arc_y: ArcDecomposition) -> bool:

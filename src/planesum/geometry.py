@@ -255,12 +255,15 @@ class HullDecomposition:
     included); ``interior`` holds the points strictly inside. ``b`` and ``i``
     are the respective counts. ``hull_vertices`` is the cycle as
     ``convex_hull`` gives it, CCW from the lexicographically smallest point.
+    ``cycle`` is every boundary point once, CCW from the same point, as
+    ``classify_points`` walks them; every per-set table below is read off it.
     """
 
     points: PointSet
     hull_vertices: tuple
     boundary: PointSet
     interior: PointSet
+    cycle: tuple
 
     @cached_property
     def b(self) -> int:
@@ -271,11 +274,19 @@ class HullDecomposition:
         return len(self.interior.points)
 
     @cached_property
-    def hull_edges(self) -> tuple:
-        """CCW edge cycle as (tail, head) vertex pairs."""
-        vs = self.hull_vertices
-        n = len(vs)
-        return tuple((vs[k], vs[(k + 1) % n]) for k in range(n))
+    def edge_runs(self) -> tuple:
+        """The cycle cut at each hull vertex: per CCW hull edge, from the
+        first vertex, the boundary points on it from tail to head."""
+        cyc = self.cycle + self.cycle[:1]
+        runs = []
+        j = 0
+        # each vertex lies past the previous one, so the walk is linear
+        for v in self.hull_vertices[1:]:
+            k = cyc.index(v, j + 1)
+            runs.append(cyc[j:k + 1])
+            j = k
+        runs.append(cyc[j:])
+        return tuple(runs)
 
     @cached_property
     def edge_normals(self) -> tuple:
@@ -285,20 +296,16 @@ class HullDecomposition:
 
     @cached_property
     def cones(self) -> dict:
-        """Normal cone for every boundary point, keyed by the point."""
-        vs = self.hull_vertices
-        n = len(vs)
+        """Normal cone for every boundary point, keyed by the point: a run's
+        tail is the vertex between the previous edge and this one, and its
+        inner points see this edge's normal alone."""
         normals = self.edge_normals
         out = {}
-        for k, v in enumerate(vs):
-            out[v] = NormalCone(at=v, lo=normals[(k - 1) % n], hi=normals[k])
-        for p in self.boundary:
-            if p in out:
-                continue
-            for k, (a, b) in enumerate(self.hull_edges):
-                if _on_segment(p, a, b):
-                    out[p] = NormalCone(at=p, lo=normals[k], hi=normals[k])
-                    break
+        for k, run in enumerate(self.edge_runs):
+            u = normals[k]
+            out[run[0]] = NormalCone(at=run[0], lo=normals[k - 1], hi=u)
+            for p in run[1:-1]:
+                out[p] = NormalCone(at=p, lo=u, hi=u)
         return out
 
     # Per-set tables for the sum kernel and the checks. They are built on
@@ -316,7 +323,8 @@ class HullDecomposition:
         in which ``sum_decomposition`` merges two hulls.
         """
         rows = []
-        for a, b in self.hull_edges:
+        for run in self.edge_runs:
+            a, b = run[0], run[-1]
             dx, dy = b.x - a.x, b.y - a.y
             g = math.gcd(dx, dy)
             half = 0 if dx > 0 or (dx == 0 and dy > 0) else 1
@@ -346,13 +354,14 @@ class HullDecomposition:
         edge's outward normal as (dx, dy); None where those points are not an
         arithmetic progression.
 
-        The points on the edge with normal u are ``support_set(points, u)``.
-        Their step is taken in lexicographic order, as
-        ``is_ap_same_difference`` takes it, so two sets with an edge of the
-        same normal compare their steps directly.
+        The points on an edge are its run. Their step is taken in
+        lexicographic order, as ``is_ap_same_difference`` takes it (the run
+        reversed on a ``half`` 1 edge), so two sets with an edge of the same
+        normal compare their steps directly.
         """
-        return {(u.dx, u.dy): _common_step(support_set(self.points, u).points)
-                for u in self.edge_normals}
+        return {(u.dx, u.dy): _common_step(run[::-1] if half else run)
+                for u, run, (half, _, _, _)
+                in zip(self.edge_normals, self.edge_runs, self.edge_table)}
 
     @cached_property
     def _arcs(self) -> dict:
@@ -367,14 +376,6 @@ class HullDecomposition:
         if arc is None:
             arc = self._arcs[key] = arc_decomposition(self, v)
         return arc
-
-
-def _on_segment(p: Coords, a: Coords, b: Coords) -> bool:
-    """Whether p lies on the closed segment [a, b]."""
-    return orientation(a, b, p) == 0 and (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
 
 
 def _line_key(dx: int, dy: int) -> tuple:
@@ -398,19 +399,20 @@ def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposit
     every hull edge costs n times h orientation tests.
     """
     ps = points if isinstance(points, PointSet) else PointSet(points)
-    boundary = _boundary_chain(ps.points)
-    hull = _left_turns(boundary)
+    cycle = _boundary_chain(ps.points)
+    hull = _left_turns(cycle)
     if len(hull) < 3:
         convex_hull(ps)  # raises its ValueError on an empty set
         raise CollinearInput(f"{len(ps)} points spanning no area")
     # the chain holds each boundary point of ps once, and the interior is a
     # filter of the sorted ps: both are sorted distinct Points already
-    on_hull = PointSet._sorted(sorted(boundary))
+    on_hull = PointSet._sorted(sorted(cycle))
     return HullDecomposition(
         points=ps,
         hull_vertices=hull,
         boundary=on_hull,
         interior=PointSet._sorted(p for p in ps.points if p not in on_hull._members),
+        cycle=tuple(cycle),
     )
 
 
@@ -462,22 +464,18 @@ _FIRST_CANDIDATES = tuple(itertools.islice(_enumerate_candidates(), 32))
 
 
 def _hull_lines(s: Union[PointSet, HullDecomposition, Iterable[Coords]]) -> frozenset:
-    if isinstance(s, HullDecomposition):
-        return s.edge_lines
-    hull = convex_hull(s)
-    m = len(hull)
-    # a two-point hull is one segment, not a cycle of two edges
-    return frozenset(_line_key(hull[(k + 1) % m].x - hull[k].x,
-                               hull[(k + 1) % m].y - hull[k].y)
-                     for k in range(m if m > 2 else m - 1))
+    """``edge_lines`` of a non-collinear set, classified here unless it is a
+    decomposition already; a collinear set raises ``CollinearInput``."""
+    return (s if isinstance(s, HullDecomposition) else classify_points(s)).edge_lines
 
 
 def generic_direction(a: Union[PointSet, HullDecomposition, Iterable[Coords]],
                       b: Union[PointSet, HullDecomposition, Iterable[Coords]]) -> Direction:
     """Smallest enumerated direction parallel to no hull edge of [a] or [b].
 
-    Decompositions contribute their cached hull edges; other inputs are
-    hulled here.
+    Both sets must be non-collinear; a collinear one raises
+    ``CollinearInput``. Decompositions contribute their cached hull edges;
+    other inputs are classified here.
     """
     lines_a = _hull_lines(a)
     lines_b = _hull_lines(b)
@@ -507,37 +505,28 @@ class ArcDecomposition:
 
 def arc_decomposition(points: Union[PointSet, HullDecomposition, Iterable[Coords]],
                       v: Direction) -> ArcDecomposition:
-    """Split the boundary of a non-collinear set by the generic direction v."""
+    """Split the boundary of a non-collinear set by the generic direction v.
+
+    With no hull edge parallel to v, ``l`` and ``r`` are the unique least
+    and greatest ``w . p`` on the boundary cycle, w being v turned a quarter
+    turn clockwise. The cycle runs CCW from l to r under the set (``low``)
+    and from r back to l over it (``upp``).
+    """
     decomp = points if isinstance(points, HullDecomposition) else classify_points(points)
-    for a, b in decomp.hull_edges:
+    for run in decomp.edge_runs:
+        a, b = run[0], run[-1]
         if (b.x - a.x) * v.dy - (b.y - a.y) * v.dx == 0:
             raise DirectionNotGeneric(
                 f"({v.dx}, {v.dy}) is parallel to hull edge {tuple(a)} -> {tuple(b)}"
             )
     w = v.perp_cw()
-    keyed = [(w.dot(p), p) for p in decomp.points]
-    lo_key = min(k for k, _ in keyed)
-    hi_key = max(k for k, _ in keyed)
-    lows = [p for k, p in keyed if k == lo_key]
-    highs = [p for k, p in keyed if k == hi_key]
-    if len(lows) != 1 or len(highs) != 1:
-        raise DirectionNotGeneric(f"({v.dx}, {v.dy}) leaves extreme points tied")
-    l, r = lows[0], highs[0]
-    upp = []
-    low = []
-    for p in decomp.boundary:
-        if p == l or p == r:
-            continue
-        cone = decomp.cones[p]
-        s_lo = cone.lo.dot((v.dx, v.dy))
-        s_hi = cone.hi.dot((v.dx, v.dy))
-        if s_lo > 0 and s_hi > 0:
-            upp.append(p)
-        elif s_lo < 0 and s_hi < 0:
-            low.append(p)
-        else:
-            raise AssertionError(f"straddling cone at non-extreme point {tuple(p)}")
-    return ArcDecomposition(v=v, l=l, r=r, upp=PointSet(upp), low=PointSet(low))
+    cyc = decomp.cycle
+    keys = [w.dot(p) for p in cyc]
+    li = keys.index(min(keys))
+    m = (keys.index(max(keys)) - li) % len(cyc)
+    ring = cyc[li:] + cyc[:li]
+    return ArcDecomposition(v=v, l=ring[0], r=ring[m],
+                            upp=PointSet(ring[m + 1:]), low=PointSet(ring[1:m]))
 
 
 def _collinear(pts: Sequence[Coords]) -> bool:

@@ -15,6 +15,7 @@ from planesum import (
     PointNotInSet,
     PointSet,
     NormalCone,
+    ArcDecomposition,
     arc_decomposition,
     classify_points,
     cones_intersect,
@@ -438,6 +439,12 @@ class TestGenericDirection:
             a, b = hull[k], hull[(k + 1) % n]
             assert (b.x - a.x) * v.dy - (b.y - a.y) * v.dx != 0
 
+    def test_collinear_input_raises(self):
+        line = PointSet([(0, 0), (1, 1), (2, 2)])
+        for a, b in ((line, TRI), (TRI, line), ([(0, 0), (3, 1)], TRI)):
+            with pytest.raises(CollinearInput):
+                generic_direction(a, b)
+
 
 class TestArcDecomposition:
     def test_flat_bottom_kite(self):
@@ -488,6 +495,88 @@ class TestArcDecomposition:
         assert len(arc.upp) + len(arc.low) == d.b - 2
         rev = arc_decomposition(s, -v)
         assert rev.upp == arc.low and rev.low == arc.upp
+
+
+def _on_segment(p, a, b):
+    """Whether p lies on the closed segment [a, b]."""
+    return orientation(a, b, p) == 0 and (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _cones_by_edge_scan(d):
+    """The normal cones as they were found before the boundary cycle was
+    kept: a hull vertex gets the normals of its two edges, and any other
+    boundary point the normal of the first hull edge whose segment holds it."""
+    vs = d.hull_vertices
+    n = len(vs)
+    edges = [(vs[k], vs[(k + 1) % n]) for k in range(n)]
+    normals = [Direction.of(b.y - a.y, a.x - b.x) for a, b in edges]
+    out = {v: NormalCone(at=v, lo=normals[k - 1], hi=normals[k]) for k, v in enumerate(vs)}
+    for p in d.boundary:
+        if p not in out:
+            k = next(k for k, (a, b) in enumerate(edges) if _on_segment(p, a, b))
+            out[p] = NormalCone(at=p, lo=normals[k], hi=normals[k])
+    return out
+
+
+def _arcs_by_cone_signs(d, v):
+    """The arc split as it was found before the boundary cycle was kept: l
+    and r from a scan of every point, and each other boundary point by the
+    signs of v against the two ends of its normal cone."""
+    vs = d.hull_vertices
+    n = len(vs)
+    for k in range(n):
+        a, b = vs[k], vs[(k + 1) % n]
+        if (b.x - a.x) * v.dy - (b.y - a.y) * v.dx == 0:
+            raise DirectionNotGeneric(f"parallel to {a} -> {b}")
+    w = v.perp_cw()
+    keyed = [(w.dot(p), p) for p in d.points]
+    lo_key, hi_key = min(keyed)[0], max(keyed)[0]
+    lows = [p for k, p in keyed if k == lo_key]
+    highs = [p for k, p in keyed if k == hi_key]
+    assert len(lows) == len(highs) == 1
+    cones = _cones_by_edge_scan(d)
+    upp, low = [], []
+    for p in d.boundary:
+        if p in (lows[0], highs[0]):
+            continue
+        s_lo = cones[p].lo.dot((v.dx, v.dy))
+        s_hi = cones[p].hi.dot((v.dx, v.dy))
+        if s_lo > 0 and s_hi > 0:
+            upp.append(p)
+        elif s_lo < 0 and s_hi < 0:
+            low.append(p)
+        else:
+            raise AssertionError(f"straddling cone at non-extreme point {p}")
+    return ArcDecomposition(v=v, l=lows[0], r=highs[0], upp=PointSet(upp), low=PointSet(low))
+
+
+class TestCycleTables:
+    """The tables read off the boundary cycle match the edge scans they
+    replaced."""
+
+    @given(st.one_of(st.lists(points, min_size=3, max_size=25), small_point_lists,
+                     saturated_sets(), full_column_sets()),
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+                    .filter(lambda t: t != (0, 0)), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_cones_and_arcs_match_edge_scan(self, pts, vectors):
+        try:
+            d = classify_points(pts)
+        except CollinearInput:
+            return
+        assert d.cones == _cones_by_edge_scan(d)
+        for v in [generic_direction(d, d)] + [Direction.of(*t) for t in vectors]:
+            for u in (v, -v):
+                try:
+                    ref = _arcs_by_cone_signs(d, u)
+                except DirectionNotGeneric:
+                    with pytest.raises(DirectionNotGeneric):
+                        arc_decomposition(d, u)
+                    continue
+                assert arc_decomposition(d, u) == ref
 
 
 class TestSameDifferenceProgressions:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_sets import full_column_sets, saturated_sets
 from planesum import (
     CollinearInput,
     Direction,
@@ -160,6 +161,9 @@ saturated = seeds.map(lambda seed: classify_points(random_saturated_set(random.R
 grid_sets = seeds.map(lambda seed: classify_points(
     random_point_set(random.Random(seed), 4, 4, 3, 16)))
 summands = st.one_of(polygons, triangles, boxes, saturated, grid_sets)
+# long collinear runs, and long vertical ones at both ends of the lexicographic order
+lattice_polygons = st.one_of(saturated_sets(), full_column_sets()).map(_polygon).filter(
+    lambda d: d is not None)
 separated = seeds.map(lambda seed: tuple(
     classify_points(s) for s in separated_pair(random.Random(seed))))
 
@@ -203,7 +207,7 @@ class TestSumDecomposition:
 class TestMemoTables:
     """Per-set memo tables must return what the direct calls return."""
 
-    @given(summands, st.lists(
+    @given(st.one_of(summands, lattice_polygons), st.lists(
         st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: v != (0, 0)),
         min_size=1, max_size=6))
     @settings(max_examples=120, deadline=None)
