@@ -14,15 +14,19 @@ the boundary segments it can see. The fringe is kept as the full cycle of
 boundary points, collinear ones included, which keeps later fans from
 spanning across an earlier point sitting flush on a boundary segment.
 
-The fringe is a linked CCW cycle (a next and a previous map), and an
-insertion touches only the edges it sees plus one on each side. The point
-inserted last is the lexicographic maximum so far, hence a strict hull
-vertex whose two edges both lead to lexicographically smaller points; the
-cone they span holds no point that is lexicographically larger, so the new
-point sees at least one of those two edges. The visible edges form one
-chain, found by walking outwards from there, and the triangles come in the
-same CCW order as a scan of every fringe edge would give them. After the
-sort, all insertions together take time linear in the number of points.
+The fringe is two monotone chains, ``lower`` and ``upper``, each running from
+the smallest point so far to the largest; the CCW cycle is the lower chain
+followed by the upper one reversed. A new point p is the largest so far, so
+it becomes the right end of both chains. The edges it sees (p strictly
+outside) form one run of the cycle through the previous maximum, a strict
+hull vertex whose two edges lead to smaller points and so cannot both hide
+p; the run never reaches past the smallest point, since p does not lie
+behind that vertex. Only the last edges of each chain can thus be visible,
+and popping each chain while p is strictly outside its last edge finds them
+all. The lower pops reversed, then the upper pops, are the visible edges in
+the CCW order a scan of every fringe edge would give. Each point is pushed
+once and popped at most once per chain, so after the sort all insertions
+together take linear time.
 
 ``twice_hull_area`` is the shoelace sum over hull vertices. For a set that
 contains every lattice point of its hull it equals b + 2i - 2 (Pick's
@@ -52,13 +56,6 @@ class Triangle(NamedTuple):
     a: Point
     b: Point
     c: Point
-
-
-def _ccw_triangle(a: Point, b: Point, c: Point) -> Triangle:
-    s = orientation(a, b, c)
-    if s == 0:
-        raise ValueError(f"degenerate triangle {tuple(a)}, {tuple(b)}, {tuple(c)}")
-    return Triangle(a, b, c) if s > 0 else Triangle(a, c, b)
 
 
 @dataclass(frozen=True)
@@ -92,52 +89,51 @@ def twice_hull_area(points: Union[PointSet, Iterable[Coords]]) -> int:
 def triangulate_explicit(points: Union[PointSet, Iterable[Coords]]) -> Triangulation:
     """Build a triangulation of a non-collinear set by lexicographic insertion."""
     ps = points if isinstance(points, PointSet) else PointSet(points)
-    pts = list(ps.points)
+    pts = ps.points
     if _collinear(pts):
         raise CollinearInput("triangulation needs a non-collinear set")
 
     # Longest collinear prefix lies on one line; the first point off that
     # line seeds the fan. Lexicographic order puts the prefix in line order.
+    (x0, y0), (x1, y1) = pts[0], pts[1]
+    dx, dy = x1 - x0, y1 - y0
     k = 2
-    while orientation(pts[0], pts[1], pts[k]) == 0:
+    while dx * (pts[k][1] - y0) == dy * (pts[k][0] - x0):
         k += 1
     apex = pts[k]
-    triangles: List[Triangle] = [
-        _ccw_triangle(pts[j], pts[j + 1], apex) for j in range(k - 1)
-    ]
-    cycle = pts[:k] if orientation(pts[0], pts[1], apex) > 0 else pts[k - 1::-1]
-    cycle.append(apex)
-    # the fringe as a linked CCW cycle: u -> nxt[u] is an edge, prv undoes nxt
-    nxt = dict(zip(cycle, cycle[1:] + cycle[:1]))
-    prv = dict(zip(cycle, cycle[-1:] + cycle[:-1]))
+    line = list(pts[:k])
+    if dx * (apex[1] - y0) > dy * (apex[0] - x0):
+        # apex left of the line, i.e. above it: the line is the lower chain
+        triangles = [Triangle(u, w, apex) for u, w in zip(line, line[1:])]
+        lower, upper = line + [apex], [pts[0], apex]
+    else:
+        triangles = [Triangle(u, apex, w) for u, w in zip(line, line[1:])]
+        lower, upper = [pts[0], apex], line + [apex]
 
-    last = apex
     for p in pts[k + 1:]:
-        # The edge u -> w is visible from p when p is strictly right of it.
-        # ``last`` is the lexicographic maximum so far, so p lies outside its
-        # vertex cone and sees at least one of its two edges.
-        if orientation(last, nxt[last], p) < 0:
-            u = last
-        elif orientation(prv[last], last, p) < 0:
-            u = prv[last]
-        else:
-            raise AssertionError(f"point {tuple(p)} not strictly outside the fringe")
-        w = nxt[u]
-        # extend the visible chain both ways: back to its first tail ...
-        while orientation(prv[u], u, p) < 0:
-            u = prv[u]
-            if u == w:
-                raise AssertionError(f"point {tuple(p)} not strictly outside the fringe")
-        # ... then forward from it, fanning p to each visible edge in CCW order
-        start = u
-        while True:
-            w = nxt[u]
-            triangles.append(Triangle(u, p, w))  # CCW since p is right of u -> w
-            u = w
-            if orientation(u, nxt[u], p) >= 0:
+        x, y = p
+        # pop lower while p is strictly right of its last edge u -> w ...
+        fan = []
+        while len(lower) > 1:
+            (ux, uy), (wx, wy) = lower[-2], lower[-1]
+            if (wx - ux) * (y - uy) >= (wy - uy) * (x - ux):
                 break
-        nxt[start], prv[p], nxt[p], prv[u] = p, start, u, p
-        last = p
+            w = lower.pop()
+            fan.append(Triangle(lower[-1], p, w))
+        fan.reverse()
+        # ... and upper while p is strictly left of its last edge u -> w,
+        # so right of the CCW edge w -> u; fan p to each edge in CCW order
+        while len(upper) > 1:
+            (ux, uy), (wx, wy) = upper[-2], upper[-1]
+            if (wx - ux) * (y - uy) <= (wy - uy) * (x - ux):
+                break
+            w = upper.pop()
+            fan.append(Triangle(w, p, upper[-1]))
+        if not fan:
+            raise AssertionError(f"point {tuple(p)} not strictly outside the fringe")
+        triangles += fan
+        lower.append(p)
+        upper.append(p)
 
     return Triangulation(points=ps, triangles=tuple(triangles))
 

@@ -23,12 +23,17 @@ TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 coords = st.integers(min_value=-12, max_value=12)
 points = st.tuples(coords, coords)
 point_lists = st.lists(points, min_size=3, max_size=18)
+# sums like those ``planesum oracle`` gets: long collinear runs on hull edges
+small_lists = st.lists(points, min_size=1, max_size=8)
+sums = st.builds(lambda a, b: list(minkowski_sum(PointSet(a), PointSet(b))),
+                 st.one_of(small_lists, saturated_sets(max_span=8)),
+                 st.one_of(small_lists, saturated_sets(max_span=8)))
 
 
 def _triangulate_full_scan(points):
-    """The insertion that ``triangulate_explicit`` ran before its linked
-    fringe: every fringe edge is tested against every new point. The
-    reference the linked fringe is held to, triangle for triangle."""
+    """Lexicographic insertion into a fringe kept as one CCW list, with every
+    fringe edge tested against every new point. The reference the two fringe
+    chains of ``triangulate_explicit`` are held to, triangle for triangle."""
 
     def ccw(a, b, c):
         return Triangle(a, b, c) if orientation(a, b, c) > 0 else Triangle(a, c, b)
@@ -135,6 +140,16 @@ class TestExplicitTriangulation:
     def test_collinear_prefix_below_apex(self):
         _assert_valid_triangulation([(0, 0), (0, -1), (0, -2), (1, 0)])
 
+    @pytest.mark.parametrize("pts", [
+        [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)],  # horizontal prefix, apex above
+        [(0, 0), (1, 0), (2, 0), (3, -1), (4, 1)],  # horizontal prefix, apex below
+        [(0, 0), (1, 2), (2, 4), (3, 7), (4, 5), (5, 0)],  # sloped prefix, apex above
+    ])
+    def test_collinear_prefix_both_sides(self, pts):
+        # a vertical prefix always has its apex to the right, hence below it
+        t = _assert_valid_triangulation(pts)
+        assert t.triangles == _triangulate_full_scan(pts)
+
     def test_point_flush_on_fringe_segment(self):
         # (2, 1) lies on the segment from (1, 0) to (3, 2) of an earlier hull
         _assert_valid_triangulation([(1, 0), (3, 2), (2, 1), (0, 5), (4, 0)])
@@ -158,7 +173,7 @@ class TestExplicitTriangulation:
         # the pairwise emptiness check is quadratic, hence the smaller span
         _assert_valid_triangulation(pts)
 
-    @given(st.one_of(point_lists, saturated_sets(), full_column_sets()))
+    @given(st.one_of(point_lists, saturated_sets(), full_column_sets(), sums))
     @settings(max_examples=150, deadline=None)
     def test_matches_full_scan_reference(self, pts):
         try:
