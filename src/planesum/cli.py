@@ -27,7 +27,7 @@ import re
 import sys
 from typing import List, Optional, Sequence
 
-from .conjecture import ConjectureReport, Pair, Verdict, check_pair, equality_family
+from .conjecture import Pair, Verdict, check_pair, equality_family
 from .errors import ParseError, PlanesumError
 from .geometry import classify_points
 from .ptsfile import load_point_set
@@ -36,8 +36,6 @@ from .search import (
     FILTER_NAMES,
     SYMMETRIES,
     SearchConfig,
-    _fmt_bool,
-    _fmt_opt,
     run_search,
     serialize_set_id,
     summarize_lines,
@@ -45,20 +43,11 @@ from .search import (
 from .triangulation import tr_euler, triangulate_explicit
 
 
-def _print_report(r: ConjectureReport) -> None:
-    print(f"tr_a={r.tr_a} tr_b={r.tr_b} tr_ab={r.tr_ab}")
-    print(f"b_a={r.b_a} i_a={r.i_a} b_b={r.b_b} i_b={r.i_b} b_ab={r.b_ab} i_ab={r.i_ab}")
-    print(f"main={r.main.value}")
-    print(f"strong={_fmt_bool(r.strong_holds)} ib={_fmt_bool(r.ib_holds)}")
-    print(f"boundary_form={_fmt_opt(r.boundary_form_holds)}")
-    print(f"case={r.case.value} extremal={_fmt_opt(r.extremal)}")
-
-
 def _cmd_check(args) -> int:
     a = load_point_set(args.a)
     b = load_point_set(args.b)
     report = check_pair(a, b)
-    _print_report(report)
+    print("\n".join(report.lines()))
     return 1 if report.main is Verdict.FAILS else 0
 
 
@@ -72,8 +61,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    p = Pair(load_point_set(args.a), load_point_set(args.b))
-    print(f"case={p.case.value} extremal={_fmt_opt(p.extremal)}")
+    print(Pair(load_point_set(args.a), load_point_set(args.b)).report().lines()[-1])
     return 0
 
 
@@ -132,7 +120,7 @@ def _cmd_family(args) -> int:
     a, b, report = equality_family(polygon, args.k, args.m)
     print(f"a={serialize_set_id(a)}")
     print(f"b={serialize_set_id(b)}")
-    _print_report(report)
+    print("\n".join(report.lines()))
     return 0 if report.main is Verdict.EQUALITY else 1
 
 
@@ -238,17 +226,12 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # before PlanesumError: a ParseError is one, and prints without its class
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PlanesumError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

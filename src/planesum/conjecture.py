@@ -211,6 +211,29 @@ class ConjectureReport:
     case: Case
     extremal: Optional[bool]
 
+    def lines(self) -> Tuple[str, ...]:
+        """The six ``key=value`` groups in column order: ``planesum check``
+        prints one per line, a sweep record joins them with spaces."""
+        return (
+            f"tr_a={self.tr_a} tr_b={self.tr_b} tr_ab={self.tr_ab}",
+            f"b_a={self.b_a} i_a={self.i_a} b_b={self.b_b} i_b={self.i_b}"
+            f" b_ab={self.b_ab} i_ab={self.i_ab}",
+            f"main={self.main.value}",
+            f"strong={_fmt_bool(self.strong_holds)} ib={_fmt_bool(self.ib_holds)}",
+            f"boundary_form={_fmt_opt(self.boundary_form_holds)}",
+            f"case={self.case.value} extremal={_fmt_opt(self.extremal)}",
+        )
+
+
+def _fmt_bool(v: bool) -> str:
+    return "true" if v else "false"
+
+
+def _fmt_opt(v: Optional[bool]) -> str:
+    if v is None:
+        return "none"
+    return "holds" if v else "fails"
+
 
 def check_pair(a: PointSet, b: PointSet,
                decomp_a: Optional[HullDecomposition] = None,

@@ -251,27 +251,37 @@ def cones_intersect(c1: NormalCone, c2: NormalCone) -> bool:
 class HullDecomposition:
     """A non-collinear point set split into hull-boundary and interior parts.
 
-    ``boundary`` holds every point lying on the hull's edge cycle (vertices
-    included); ``interior`` holds the points strictly inside. ``b`` and ``i``
-    are the respective counts. ``hull_vertices`` is the cycle as
-    ``convex_hull`` gives it, CCW from the lexicographically smallest point.
-    ``cycle`` is every boundary point once, CCW from the same point, as
-    ``classify_points`` walks them; every per-set table below is read off it.
+    ``hull_vertices`` is the cycle as ``convex_hull`` gives it, CCW from the
+    lexicographically smallest point. ``cycle`` is every point lying on the
+    hull's edge cycle (vertices included) once, CCW from the same point, as
+    ``classify_points`` walks them; ``b`` and ``i`` and every per-set table
+    below are read off it. ``boundary`` holds the cycle's points and
+    ``interior`` the points strictly inside, both built on first use.
     """
 
     points: PointSet
     hull_vertices: tuple
-    boundary: PointSet
-    interior: PointSet
     cycle: tuple
 
     @cached_property
     def b(self) -> int:
-        return len(self.boundary.points)
+        return len(self.cycle)
 
     @cached_property
     def i(self) -> int:
-        return len(self.interior.points)
+        return len(self.points) - len(self.cycle)
+
+    @cached_property
+    def boundary(self) -> PointSet:
+        # the cycle holds each boundary point once, so sorted it is a sorted
+        # distinct tuple of Points
+        return PointSet._sorted(sorted(self.cycle))
+
+    @cached_property
+    def interior(self) -> PointSet:
+        # a filter of the sorted points: sorted and distinct already
+        on_hull = self.boundary._members
+        return PointSet._sorted(p for p in self.points.points if p not in on_hull)
 
     @cached_property
     def edge_runs(self) -> tuple:
@@ -404,16 +414,7 @@ def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposit
     if len(hull) < 3:
         convex_hull(ps)  # raises its ValueError on an empty set
         raise CollinearInput(f"{len(ps)} points spanning no area")
-    # the chain holds each boundary point of ps once, and the interior is a
-    # filter of the sorted ps: both are sorted distinct Points already
-    on_hull = PointSet._sorted(sorted(cycle))
-    return HullDecomposition(
-        points=ps,
-        hull_vertices=hull,
-        boundary=on_hull,
-        interior=PointSet._sorted(p for p in ps.points if p not in on_hull._members),
-        cycle=tuple(cycle),
-    )
+    return HullDecomposition(points=ps, hull_vertices=hull, cycle=tuple(cycle))
 
 
 def support_set(points: Union[PointSet, Iterable[Coords]], u: Direction) -> PointSet:

@@ -44,7 +44,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .conjecture import CHECKS, ConjectureReport, Pair, Verdict
+from .conjecture import CHECKS, ConjectureReport, Pair, Verdict, _fmt_bool
 from .errors import CapExceeded, ParseError, ResumeMismatch, token_column
 from .geometry import (
     HullDecomposition,
@@ -275,27 +275,11 @@ class SearchRecord:
     walltime: float = 0.0
 
     def line(self) -> str:
-        r = self.report
         checks = self.checks
         tail = "".join([
             f" {name}={'skip' if checks[name] is None else _fmt_bool(checks[name])}"
             for name in CHECK_NAMES if name in checks])
-        return (
-            f"a={self.a_id} b={self.b_id} tr_a={r.tr_a} tr_b={r.tr_b} tr_ab={r.tr_ab}"
-            f" b_a={r.b_a} i_a={r.i_a} b_b={r.b_b} i_b={r.i_b} b_ab={r.b_ab}"
-            f" i_ab={r.i_ab} main={r.main.value} strong={_fmt_bool(r.strong_holds)}"
-            f" ib={_fmt_bool(r.ib_holds)} boundary_form={_fmt_opt(r.boundary_form_holds)}"
-            f" case={r.case.value} extremal={_fmt_opt(r.extremal)}{tail}")
-
-
-def _fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
-def _fmt_opt(v: Optional[bool]) -> str:
-    if v is None:
-        return "none"
-    return "holds" if v else "fails"
+        return f"a={self.a_id} b={self.b_id} {' '.join(self.report.lines())}{tail}"
 
 
 def serialize_set_id(s: PointSet) -> str:

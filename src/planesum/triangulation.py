@@ -46,7 +46,6 @@ from .geometry import (
     PointSet,
     _collinear,
     convex_hull,
-    orientation,
 )
 
 
@@ -139,17 +138,24 @@ def triangulate_explicit(points: Union[PointSet, Iterable[Coords]]) -> Triangula
 
 
 def lattice_points_in_hull(hull_vertices: Iterable[Coords]) -> List[Point]:
-    """Every lattice point inside or on the given convex CCW polygon."""
-    vs = [Point(v[0], v[1]) for v in hull_vertices]
-    n = len(vs)
-    xs = [v.x for v in vs]
-    ys = [v.y for v in vs]
+    """Every lattice point inside or on the given convex CCW polygon.
+
+    The points of the bounding box, taken in x then y order, are kept when
+    they lie on or left of every edge. Degenerate polygons pass the same
+    test: one vertex gives itself, two give the lattice points of their
+    segment.
+    """
+    vs = [(v[0], v[1]) for v in hull_vertices]
+    xs = [x for x, _ in vs]
+    ys = [y for _, y in vs]
+    # (tail x, tail y, edge dx, edge dy) per edge, closing the cycle
+    edges = [(ax, ay, bx - ax, by - ay)
+             for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1])]
     out = []
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
-            p = Point(x, y)
-            if all(orientation(vs[k], vs[(k + 1) % n], p) >= 0 for k in range(n)):
-                out.append(p)
+            if all(ex * (y - ay) >= ey * (x - ax) for ax, ay, ex, ey in edges):
+                out.append(Point(x, y))
     return out
 
 

@@ -42,6 +42,18 @@ class TestCheck:
         assert "boundary_form=fails" in out
         assert "extremal=holds" in out
 
+    def test_golden_stdout(self, pts, capsys):
+        code = cli_dispatch(["check", pts("a.pts", TRI), pts("b.pts", TRI_DOUBLE)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "tr_a=1 tr_b=4 tr_ab=9\n"
+            "b_a=3 i_a=0 b_b=6 i_b=0 b_ab=9 i_ab=1\n"
+            "main=Equality\n"
+            "strong=false ib=false\n"
+            "boundary_form=fails\n"
+            "case=BoundaryOnly extremal=holds\n"
+        )
+
     def test_missing_file(self, capsys):
         code = cli_dispatch(["check", "/nonexistent/a.pts", "/nonexistent/b.pts"])
         assert code == 2
@@ -84,7 +96,7 @@ class TestClassify:
         args = [pts("a.pts", a), pts("b.pts", b)]
         assert cli_dispatch(["check", *args]) == 0
         check_line = capsys.readouterr().out.splitlines()[-1]
-        monkeypatch.setattr(cli_mod, "check_pair", None)  # classify needs no report
+        monkeypatch.setattr(cli_mod, "check_pair", None)  # classify builds its own Pair
         assert cli_dispatch(["classify", *args]) == 0
         assert capsys.readouterr().out.strip() == expected == check_line
 
@@ -202,6 +214,22 @@ class TestFamily:
         assert code == 0
         assert "tr_a=2 tr_b=18 tr_ab=32" in out
         assert "main=Equality" in out
+
+    def test_golden_stdout(self, pts, capsys):
+        square = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
+        code = cli_dispatch(["family", "--polygon", pts("p.pts", square),
+                             "--k", "1", "--m", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "a=0,0;0,1;1,0;1,1\n"
+            "b=0,0;0,1;0,2;0,3;1,0;1,1;1,2;1,3;2,0;2,1;2,2;2,3;3,0;3,1;3,2;3,3\n"
+            "tr_a=2 tr_b=18 tr_ab=32\n"
+            "b_a=4 i_a=0 b_b=12 i_b=4 b_ab=16 i_ab=9\n"
+            "main=Equality\n"
+            "strong=false ib=false\n"
+            "boundary_form=none\n"
+            "case=General extremal=none\n"
+        )
 
     def test_degenerate_polygon(self, pts, capsys):
         flat = PointSet([(0, 0), (1, 1), (2, 2)])

@@ -232,6 +232,8 @@ class TestClassifyPoints:
         d = classify_points(pts)
         assert d.hull_vertices == hull
         assert all(type(v) is Point for v in d.hull_vertices)
+        # the counts come off the cycle, before either set is built
+        assert (d.b, d.i) == (len(boundary), len(interior))
         assert d.boundary.points == boundary.points
         assert d.interior.points == interior.points
 

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lattice_sets import full_column_sets, saturated_sets
 from planesum import (
     CollinearInput,
+    Point,
     PointSet,
     Triangle,
     classify_points,
@@ -72,6 +73,35 @@ def _triangulate_full_scan(points):
             j = (j + 1) % n
         fringe = new_fringe
     return tuple(triangles)
+
+
+def _lattice_points_full_scan(hull_vertices):
+    """Every lattice point of the bounding box that ``orientation`` puts on
+    or left of every edge, built as a ``Point`` before the test. The
+    reference ``lattice_points_in_hull`` is held to, point for point."""
+    vs = [Point(v[0], v[1]) for v in hull_vertices]
+    n = len(vs)
+    xs = [v.x for v in vs]
+    ys = [v.y for v in vs]
+    out = []
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            p = Point(x, y)
+            if all(orientation(vs[k], vs[(k + 1) % n], p) >= 0 for k in range(n)):
+                out.append(p)
+    return out
+
+
+small = st.integers(min_value=-6, max_value=6)
+# the polygons lattice_points_in_hull may get: hulls of any size, 1- and
+# 2-vertex ones included; collinear vertex lists; and any vertex list at all
+polygons = st.one_of(
+    st.lists(points, min_size=1, max_size=8).map(convex_hull),
+    st.builds(lambda x0, y0, dx, dy, ks: [(x0 + k * dx, y0 + k * dy) for k in ks],
+              small, small, st.integers(-3, 3), st.integers(-3, 3),
+              st.lists(st.integers(-3, 3), min_size=1, max_size=5)),
+    st.lists(st.tuples(small, small), min_size=1, max_size=6),
+)
 
 
 def _twice_area(t):
@@ -227,6 +257,22 @@ class TestLatticeSaturation:
     def test_skinny_triangle_sweep(self):
         pts = lattice_points_in_hull([(0, 0), (5, 1), (1, 1)])
         assert set(pts) == {(0, 0), (1, 1), (2, 1), (3, 1), (4, 1), (5, 1)}
+
+    def test_empty_polygon_raises(self):
+        with pytest.raises(ValueError):
+            lattice_points_in_hull([])
+
+    @given(polygons)
+    @example([(2, 3)])
+    @example([(1, 1), (1, 1)])
+    @example([(0, 0), (4, 2)])
+    @example([(4, 2), (0, 0), (2, 1)])
+    @example([(0, 0), (0, 3), (3, 3), (3, 0)])  # clockwise
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_scan(self, polygon):
+        got = lattice_points_in_hull(polygon)
+        assert got == _lattice_points_full_scan(polygon)
+        assert all(type(p) is Point for p in got)
 
     @given(point_lists)
     @settings(max_examples=60, deadline=None)
