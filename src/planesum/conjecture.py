@@ -71,13 +71,22 @@ from .sumset import SumDecomposition, is_translate_of, minkowski_sum, sum_decomp
 from .triangulation import lattice_points_in_hull, tr_euler
 
 
-class Verdict(enum.Enum):
+class _Text(enum.Enum):
+    """An enum whose members keep their value as the plain attribute
+    ``text`` too: a sweep writes it into every record, and ``value`` is a
+    descriptor call on each read."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+class Verdict(_Text):
     STRICT_HOLDS = "StrictHolds"
     EQUALITY = "Equality"
     FAILS = "Fails"
 
 
-class Case(enum.Enum):
+class Case(_Text):
     UNIQUE_REPRESENTATION = "UniqueRepresentation"
     ONE_INTERIOR_EACH = "OneInteriorEach"
     BOUNDARY_ONLY = "BoundaryOnly"
@@ -125,7 +134,7 @@ class Pair:
         self.dab = dab = sum_decomposition(da, db) if dab is None else dab
         self._tr: Optional[Tuple[int, int, int]] = None
         # every point of A + B has exactly one representation
-        self.unique = len(dab.points) == len(a) * len(b)
+        self.unique = dab.size == len(a) * len(b)
         self.boundary_only = da.i == 0 and db.i == 0
 
     @property
@@ -218,10 +227,10 @@ class ConjectureReport:
             f"tr_a={self.tr_a} tr_b={self.tr_b} tr_ab={self.tr_ab}",
             f"b_a={self.b_a} i_a={self.i_a} b_b={self.b_b} i_b={self.i_b}"
             f" b_ab={self.b_ab} i_ab={self.i_ab}",
-            f"main={self.main.value}",
+            f"main={self.main.text}",
             f"strong={_fmt_bool(self.strong_holds)} ib={_fmt_bool(self.ib_holds)}",
             f"boundary_form={_fmt_opt(self.boundary_form_holds)}",
-            f"case={self.case.value} extremal={_fmt_opt(self.extremal)}",
+            f"case={self.case.text} extremal={_fmt_opt(self.extremal)}",
         )
 
 
@@ -540,7 +549,7 @@ def _always(p: Pair) -> bool:
 # pair, outcome for the pair). A sweep records a check that does not apply
 # as a skip; its public checker raises PreconditionViolated there.
 CHECKS: Dict[str, Tuple[Callable[[Pair], bool], Callable[[Pair], bool]]] = {
-    "freiman": (_always, lambda p: len(p.dab.points) >= len(p.a) + len(p.b) - 1),
+    "freiman": (_always, lambda p: p.dab.size >= len(p.a) + len(p.b) - 1),
     "sum_boundary": (_always, _sum_boundary),
     "boundary_counts": (_always, lambda p: _boundary_counts(p).ok),
     "unique_rep": (lambda p: p.unique, _unique_rep),

@@ -263,6 +263,11 @@ class HullDecomposition:
     hull_vertices: tuple
     cycle: tuple
 
+    @property
+    def size(self) -> int:
+        """|S|, read as ``SumDecomposition.size`` is read for a sum."""
+        return len(self.points)
+
     @cached_property
     def b(self) -> int:
         return len(self.cycle)
@@ -342,6 +347,12 @@ class HullDecomposition:
         return tuple(rows)
 
     @cached_property
+    def box(self) -> tuple:
+        """(x0, y0, x1, y1): the set's bounding box, which is its hull
+        vertices' box."""
+        return _box(self.hull_vertices)
+
+    @cached_property
     def edge_lines(self) -> frozenset:
         """Hull edge directions up to sign, each as ``_line_key`` gives it."""
         return frozenset(_line_key(sx, sy) for _, sx, sy, _ in self.edge_table)
@@ -386,6 +397,12 @@ class HullDecomposition:
         if arc is None:
             arc = self._arcs[key] = arc_decomposition(self, v)
         return arc
+
+
+def _box(pts: Sequence[Coords]) -> tuple:
+    """(x0, y0, x1, y1): the bounding box of a nonempty point sequence."""
+    xs, ys = zip(*pts)
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 def _line_key(dx: int, dy: int) -> tuple:

@@ -428,7 +428,7 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
                     line = SearchRecord(a_id=set_id(a), b_id=set_id(b), report=report,
                                         checks=checks).line()
                     out.write(line + "\n")
-                    tally.add(line, report.main.value, report.case.value,
+                    tally.add(line, report.main.text, report.case.text,
                               False in checks.values())
             if visited % _CHECKPOINT_EVERY == 0:
                 out.flush()
@@ -460,12 +460,15 @@ class SearchSummary:
         return not self.fails and not self.check_failures
 
 
+_FAILS = Verdict.FAILS.text
+
+
 @dataclass
 class ReportTally:
     """What a list of record lines adds up to."""
 
     verdicts: Dict[str, int] = field(
-        default_factory=lambda: {v.value: 0 for v in Verdict})
+        default_factory=lambda: {v.text: 0 for v in Verdict})
     cases: Dict[str, int] = field(default_factory=dict)
     fails: List[str] = field(default_factory=list)  # main=Fails
     check_failures: List[str] = field(default_factory=list)  # some named check false
@@ -478,7 +481,7 @@ class ReportTally:
     def add(self, line: str, main: str, case: str, check_failed: bool) -> None:
         self.verdicts[main] += 1
         self.cases[case] = self.cases.get(case, 0) + 1
-        failed = main == Verdict.FAILS.value
+        failed = main == _FAILS
         if failed:
             self.fails.append(line)
         if check_failed:

@@ -1,7 +1,9 @@
-"""Hypothesis strategies for large or degenerate lattice point sets.
+"""Hypothesis strategies for large or degenerate lattice point sets, and
+the reference Minkowski sum.
 
 They feed the differential tests that hold the near-linear kernels
-(``classify_points``, ``triangulate_explicit``) to their references.
+(``classify_points``, ``triangulate_explicit``) and the packed-grid sum
+kernels (``minkowski_sum``, ``sum_decomposition``) to their references.
 """
 
 from hypothesis import assume
@@ -31,3 +33,10 @@ def full_column_sets(draw) -> list:
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]
     return pts + [(x, y) for x in (min(xs), max(xs)) for y in range(min(ys), max(ys) + 1)]
+
+
+def sums_by_set(a, b) -> set:
+    """A + B as a set of ``(x, y)`` tuples, one insert per product |A||B|:
+    the reference for the packed grid of ``minkowski_sum`` and
+    ``sum_decomposition``."""
+    return {(px + qx, py + qy) for px, py in a for qx, qy in b}

@@ -1,10 +1,13 @@
+import math
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_sets import full_column_sets, saturated_sets
+from lattice_sets import full_column_sets, saturated_sets, sums_by_set
 from planesum import (
     CollinearInput,
     Direction,
@@ -24,6 +27,7 @@ from planesum import (
     support_set,
     unique_representation,
 )
+from planesum import sumset
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 
@@ -173,9 +177,9 @@ class TestSumDecomposition:
 
     def _assert_matches_oracle(self, da, db):
         got = sum_decomposition(da, db)
-        ref = classify_points(minkowski_sum(da.points, db.points))
-        assert (got.b, got.i, len(got.points)) == (ref.b, ref.i, len(ref.points))
-        assert got.points == set(ref.points)
+        sums = sums_by_set(da.points, db.points)
+        ref = classify_points(sums)
+        assert (got.b, got.i, got.size) == (ref.b, ref.i, len(sums))
         assert got.boundary == set(ref.boundary)
         assert got.hull_vertices == ref.hull_vertices
 
@@ -202,6 +206,104 @@ class TestSumDecomposition:
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle_on_separated_pairs(self, pair):
         self._assert_matches_oracle(*pair)
+
+
+# each side of the density rule, forced, and the rule's own choice
+PATHS = {"packed": math.inf, "set": 0, "rule": sumset._BITS_PER_PRODUCT}
+
+
+@contextmanager
+def _kernel_path(path):
+    with mock.patch.object(sumset, "_BITS_PER_PRODUCT", PATHS[path]):
+        yield
+
+
+def _assert_kernels_match_reference(a, b):
+    """``minkowski_sum`` and, for non-collinear summands, ``sum_decomposition``
+    agree with the set reference on every path."""
+    sums = sums_by_set(a.points, b.points)
+    expected = tuple(sorted(sums))
+    try:
+        da, db = classify_points(a), classify_points(b)
+    except CollinearInput:
+        da = db = None
+    if da is not None:
+        ref = classify_points(sums)
+        ref_split = (len(sums), ref.b, ref.i, set(ref.boundary), ref.hull_vertices)
+    for path in PATHS:
+        with _kernel_path(path):
+            got = minkowski_sum(a, b)
+            assert got.points == expected, path
+            assert all(type(p) is Point for p in got.points)
+            if da is not None:
+                d = sum_decomposition(da, db)
+                assert (d.size, d.b, d.i, d.boundary, d.hull_vertices) == ref_split, path
+
+
+def _reflected(a, t):
+    """B = t - A: t is a sum of every point of A with its mirror, so its cell
+    holds min(|A|, |B|) = |A| representations, the most a field must hold."""
+    return PointSet((t[0] - x, t[1] - y) for x, y in a)
+
+
+class TestPackedGrid:
+    """The packed grid of both sum kernels against the set reference."""
+
+    @given(saturated_sets(max_span=20), saturated_sets(max_span=20))
+    @settings(max_examples=60, deadline=None)
+    def test_saturated_span_20(self, a, b):
+        _assert_kernels_match_reference(PointSet(a), PointSet(b))
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_separated_pairs(self, seed):
+        _assert_kernels_match_reference(*separated_pair(random.Random(seed)))
+
+    @given(saturated_sets(max_span=12), point_sets, points, points)
+    @settings(max_examples=60, deadline=None)
+    def test_negative_coordinates(self, a, b, ta, tb):
+        # the sets straddle or lie wholly left of and below the origin
+        shift = lambda t: (-abs(t[0]) - 1, -abs(t[1]) - 1)
+        _assert_kernels_match_reference(PointSet(a).translate(shift(ta)), b)
+        _assert_kernels_match_reference(PointSet(a).translate(shift(ta)),
+                                        b.translate(shift(tb)))
+
+    # most of these put 2^k - 1 representations on one cell, the fullest a
+    # field of min(|A|, |B|).bit_length() + 1 bits gets
+    @pytest.mark.parametrize("a, b", [
+        ([(0, 0)], [(0, 0)]),
+        ([(-3, 5)], [(2, -7)]),
+        ([(0, y) for y in range(5)], [(-2, 3)]),
+        ([(x, 0) for x in range(7)], [(x, 0) for x in range(7)]),
+        ([(x, 2) for x in range(-4, 4)], [(x, -1) for x in range(0, 6, 2)]),
+        ([(0, y) for y in range(15)], [(0, y) for y in range(-9, 6)]),
+        ([(x, 0) for x in range(5)], [(0, y) for y in range(5)]),
+        ([(x, 0) for x in range(7)], [(x, 0) for x in range(5)] + [(0, 1), (1, 2)]),
+        ([(0, y) for y in range(-6, 1)], [(0, y) for y in range(5)] + [(1, 0), (-1, 3)]),
+    ])
+    def test_one_row_and_one_column_spans(self, a, b):
+        _assert_kernels_match_reference(PointSet(a), PointSet(b))
+
+    def test_reflected_translate_fills_a_field(self):
+        rng = random.Random(31)
+        for n in (7, 8, 15, 16, 31, 32):
+            for _ in range(3):
+                a = random_point_set(rng, 8, 8, n, n)
+                t = (rng.randint(-9, 9), rng.randint(-9, 9))
+                b = _reflected(a, t)
+                assert sum(a0 + b0 == t for a0 in a for b0 in b) == n == min(len(a), len(b))
+                _assert_kernels_match_reference(a, b)
+
+    def test_rule_packs_dense_sums_and_not_sparse_ones(self):
+        rng = random.Random(1441)
+        for _ in range(20):
+            sat = [random_saturated_set(rng, span=rng.randint(10, 20),
+                                        corners=rng.randint(4, 8)) for _ in range(2)]
+            sep = separated_pair(rng)
+            for (a, b), packed in ((sat, True), (sep, False)):
+                a, b = a.points, b.points
+                grid = sumset._grid_sum(a, b, sumset._box(a), sumset._box(b))
+                assert (grid is not None) == packed
 
 
 class TestMemoTables:
