@@ -22,7 +22,8 @@ valid inputs they must come back true; a false return is an implementation
 bug or a genuine counterexample and either way demands attention:
 
 * ``check_sum_boundary``: a + b lies on the sum's hull boundary exactly when
-  the normal cones of a and b intersect.
+  the normal cones of a and b intersect. The cones are the summands'
+  integer ``cone_rows``, read off each set's boundary cycle.
 * ``check_boundary_superadditivity``: b_{A+B} >= b_A + b_B, with equality
   exactly when the support sets of A and B are same-difference
   progressions in every direction where both have two or more points.
@@ -259,9 +260,9 @@ def check_sum_boundary(a: PointSet, b: PointSet,
     """Boundary membership of a + b must match normal-cone intersection.
 
     Points with no cone (interior points) must produce interior sums. The
-    cones are the summands' integer cone rows. Two closed arcs of less than
-    a half turn meet exactly when one contains the other's first ray, so
-    two containment tests give the answer of ``cones_intersect``.
+    cones are the summands' integer cone rows. Both are closed arcs of less
+    than a half turn, and two such arcs meet exactly when one contains the
+    other's first ray, so two containment tests decide whether they meet.
     """
     return _sum_boundary(_pair_for("sum_boundary", a, b, decomp_a, decomp_b, decomp_ab))
 
@@ -454,7 +455,7 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
 def _low_arc_flat(arc: ArcDecomposition) -> bool:
     """Whether the lower arc lies on the segment [l, r]: l and r are the
     set's unique extremes across v, so a point on their line lies between."""
-    return _collinear((arc.l, arc.r, *arc.low.points))
+    return _collinear((arc.l, arc.r, *arc.low))
 
 
 def _extreme_segments_parallel(arc_x: ArcDecomposition, arc_y: ArcDecomposition) -> bool:

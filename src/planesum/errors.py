@@ -11,16 +11,8 @@ class CollinearInput(PlanesumError):
     """A computation needing a genuine polygon got a collinear point set."""
 
 
-class PointNotInSet(PlanesumError):
-    """The queried point does not belong to the decomposition's point set."""
-
-
 class DirectionNotGeneric(PlanesumError):
     """The direction is parallel to a hull edge, so arcs are ill-defined."""
-
-
-class NotCollinear(PlanesumError):
-    """A progression test got a point set that is not collinear."""
 
 
 class PreconditionViolated(PlanesumError):

@@ -6,10 +6,10 @@ coordinate magnitude; there is no overflow to guard against.
 
 Conventions used throughout:
 
-* ``orientation(p, q, r)`` returns the sign of the cross product
-  ``(q - p) x (r - p)``: +1 when the walk p -> q -> r turns left
-  (counterclockwise), -1 when it turns right, 0 when the three points are
-  collinear.
+* The walk p -> q -> r turns left (counterclockwise) when the cross product
+  ``(q - p) x (r - p)`` is positive, right when it is negative, and the
+  three points are collinear when it is 0. Each test computes that product
+  inline.
 * Convex hulls are vertex cycles in counterclockwise order with no three
   consecutive collinear vertices. For a CCW hull the outward normal of the
   edge ``a -> b`` is ``b - a`` rotated a quarter turn clockwise.
@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .errors import (
-    CollinearInput,
-    DirectionNotGeneric,
-    NotCollinear,
-    PointNotInSet,
-)
+from .errors import CollinearInput, DirectionNotGeneric
 
 Coords = Union["Point", tuple]
 
@@ -79,15 +74,9 @@ class Direction:
     def dot(self, p: Coords) -> int:
         return self.dx * p[0] + self.dy * p[1]
 
-    def cross(self, other: "Direction") -> int:
-        return self.dx * other.dy - self.dy * other.dx
-
     def perp_cw(self) -> "Direction":
         """Quarter turn clockwise: (dx, dy) -> (dy, -dx)."""
         return Direction(self.dy, -self.dx)
-
-    def parallel_to(self, other: "Direction") -> bool:
-        return self.cross(other) == 0
 
 
 class PointSet:
@@ -143,16 +132,6 @@ class PointSet:
     def translate(self, v: Coords) -> "PointSet":
         vx, vy = v[0], v[1]
         return PointSet(Point(p.x + vx, p.y + vy) for p in self.points)
-
-
-def orientation(p: Coords, q: Coords, r: Coords) -> int:
-    """Sign of (q - p) x (r - p): +1 left turn, -1 right turn, 0 collinear."""
-    det = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
 
 
 def convex_hull(points: Union[PointSet, Iterable[Coords]]) -> tuple:
@@ -220,34 +199,6 @@ def interior_count(coords: Iterable[Coords]) -> int:
 
 
 @dataclass(frozen=True)
-class NormalCone:
-    """Closed CCW range [lo, hi] of outward edge normals at a boundary point.
-
-    ``lo == hi`` for a point in the relative interior of a hull edge. At a
-    hull vertex the range runs CCW from the incoming edge's normal to the
-    outgoing edge's normal and spans strictly less than a half turn.
-    """
-
-    at: Point
-    lo: Direction
-    hi: Direction
-
-    def __contains__(self, d: Direction) -> bool:
-        if self.lo == self.hi:
-            return d == self.lo
-        return self.lo.cross(d) >= 0 and d.cross(self.hi) >= 0
-
-
-def cones_intersect(c1: NormalCone, c2: NormalCone) -> bool:
-    """Whether two normal cones share a direction, boundary rays included.
-
-    Both arcs span less than a half turn, so a nonempty intersection must
-    contain an endpoint of one of the arcs.
-    """
-    return c1.lo in c2 or c1.hi in c2 or c2.lo in c1 or c2.hi in c1
-
-
-@dataclass(frozen=True)
 class HullDecomposition:
     """A non-collinear point set split into hull-boundary and interior parts.
 
@@ -303,26 +254,6 @@ class HullDecomposition:
         runs.append(cyc[j:])
         return tuple(runs)
 
-    @cached_property
-    def edge_normals(self) -> tuple:
-        """Primitive outward normal of each CCW hull edge, in edge order: the
-        edge's primitive step turned a quarter turn clockwise."""
-        return tuple(Direction(sy, -sx) for _, sx, sy, _ in self.edge_table)
-
-    @cached_property
-    def cones(self) -> dict:
-        """Normal cone for every boundary point, keyed by the point: a run's
-        tail is the vertex between the previous edge and this one, and its
-        inner points see this edge's normal alone."""
-        normals = self.edge_normals
-        out = {}
-        for k, run in enumerate(self.edge_runs):
-            u = normals[k]
-            out[run[0]] = NormalCone(at=run[0], lo=normals[k - 1], hi=u)
-            for p in run[1:-1]:
-                out[p] = NormalCone(at=p, lo=u, hi=u)
-        return out
-
     # Per-set tables for the sum kernel and the checks. They are built on
     # first use, so a summand that never reaches a sum costs nothing extra,
     # and they live as long as the decomposition a sweep caches per set.
@@ -359,30 +290,34 @@ class HullDecomposition:
 
     @cached_property
     def cone_rows(self) -> tuple:
-        """(x, y, cone) per point in set order; cone is (lo.dx, lo.dy, hi.dx,
-        hi.dy) for a boundary point and None for an interior one."""
-        cones = self.cones
-        rows = []
-        for p in self.points:
-            c = cones.get(p)
-            rows.append((p.x, p.y, None if c is None
-                         else (c.lo.dx, c.lo.dy, c.hi.dx, c.hi.dy)))
-        return tuple(rows)
+        """(x, y, cone) per point in set order; cone is None for an interior
+        point and (lo dx, lo dy, hi dx, hi dy) for a boundary point, the
+        closed CCW range of outward edge normals there, which spans less than
+        a half turn. The outward normal of an edge with primitive step
+        (sx, sy) is (sy, -sx). The tail of edge k's run, the vertex after
+        edge k - 1, gets the normals of edges k - 1 and k; the run's inner
+        points get edge k's normal alone."""
+        normals = [(sy, -sx) for _, sx, sy, _ in self.edge_table]
+        cones = {}
+        for k, run in enumerate(self.edge_runs):
+            u = normals[k]
+            cones[run[0]] = normals[k - 1] + u
+            for p in run[1:-1]:
+                cones[p] = u + u
+        return tuple([(p.x, p.y, cones.get(p)) for p in self.points.points])
 
     @cached_property
     def edge_steps(self) -> dict:
         """Common step of the set's points on each hull edge, keyed by the
-        edge's outward normal as (dx, dy); None where those points are not an
+        edge's outward normal (sy, -sx); None where those points are not an
         arithmetic progression.
 
         The points on an edge are its run. Their step is taken in
-        lexicographic order, as ``is_ap_same_difference`` takes it (the run
-        reversed on a ``half`` 1 edge), so two sets with an edge of the same
-        normal compare their steps directly.
+        lexicographic order (the run reversed on a ``half`` 1 edge), so two
+        sets with an edge of the same normal compare their steps directly.
         """
-        return {(u.dx, u.dy): _common_step(run[::-1] if half else run)
-                for u, run, (half, _, _, _)
-                in zip(self.edge_normals, self.edge_runs, self.edge_table)}
+        return {(sy, -sx): _common_step(run[::-1] if half else run)
+                for run, (half, sx, sy, _) in zip(self.edge_runs, self.edge_table)}
 
     @cached_property
     def _arcs(self) -> dict:
@@ -423,7 +358,7 @@ def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposit
     collinear ones included, and nothing strictly inside. The interior is
     the rest, and the hull vertices are the boundary points where the cycle
     turns. This is linear after the sort, where testing each point against
-    every hull edge costs n times h orientation tests.
+    every hull edge costs n times h cross products.
     """
     ps = points if isinstance(points, PointSet) else PointSet(points)
     cycle = _boundary_chain(ps.points)
@@ -432,23 +367,6 @@ def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposit
         convex_hull(ps)  # raises its ValueError on an empty set
         raise CollinearInput(f"{len(ps)} points spanning no area")
     return HullDecomposition(points=ps, hull_vertices=hull, cycle=tuple(cycle))
-
-
-def support_set(points: Union[PointSet, Iterable[Coords]], u: Direction) -> PointSet:
-    """Points of the set maximizing the dot product with u (always collinear)."""
-    ps = points if isinstance(points, PointSet) else PointSet(points)
-    if not len(ps):
-        raise ValueError("support_set of an empty set")
-    best = max(u.dot(p) for p in ps)
-    return PointSet(p for p in ps if u.dot(p) == best)
-
-
-def normal_cone(decomp: HullDecomposition, p: Coords) -> Optional[NormalCone]:
-    """Normal cone of a point of the decomposed set; None for interior points."""
-    pt = Point(p[0], p[1])
-    if pt not in decomp.points:
-        raise PointNotInSet(f"({pt.x}, {pt.y})")
-    return decomp.cones.get(pt)
 
 
 def _candidate_directions() -> Iterator[Direction]:
@@ -511,14 +429,16 @@ class ArcDecomposition:
     ``l`` and ``r`` are the unique extreme points against v rotated a quarter
     turn clockwise (the strict minimizer and maximizer). Every other boundary
     point lands in ``upp`` when all its outward normals u have u . v > 0 and
-    in ``low`` when they all have u . v < 0, so |upp| + |low| = b - 2.
+    in ``low`` when they all have u . v < 0, so |upp| + |low| = b - 2. Both
+    arcs are tuples of ``Point``s in CCW cycle order: ``low`` from l to r,
+    ``upp`` from r to l.
     """
 
     v: Direction
     l: Point
     r: Point
-    upp: PointSet
-    low: PointSet
+    upp: tuple
+    low: tuple
 
 
 def arc_decomposition(points: Union[PointSet, HullDecomposition, Iterable[Coords]],
@@ -543,8 +463,7 @@ def arc_decomposition(points: Union[PointSet, HullDecomposition, Iterable[Coords
     li = keys.index(min(keys))
     m = (keys.index(max(keys)) - li) % len(cyc)
     ring = cyc[li:] + cyc[:li]
-    return ArcDecomposition(v=v, l=ring[0], r=ring[m],
-                            upp=PointSet(ring[m + 1:]), low=PointSet(ring[1:m]))
+    return ArcDecomposition(v=v, l=ring[0], r=ring[m], upp=ring[m + 1:], low=ring[1:m])
 
 
 def _collinear(pts: Sequence[Coords]) -> bool:
@@ -553,28 +472,6 @@ def _collinear(pts: Sequence[Coords]) -> bool:
     (x0, y0), (x1, y1) = pts[0], pts[1]
     dx, dy = x1 - x0, y1 - y0
     return all(dx * (y - y0) == dy * (x - x0) for x, y in pts[2:])
-
-
-def is_ap_same_difference(c: Union[PointSet, Iterable[Coords]],
-                          d: Union[PointSet, Iterable[Coords]]) -> bool:
-    """Whether two collinear sets add with no slack in the segment count.
-
-    True when either set is a single point, or both are arithmetic
-    progressions with the same difference vector. Lexicographic order along
-    parallel lines is consistent, so the sorted difference vectors compare
-    directly.
-    """
-    cs = c if isinstance(c, PointSet) else PointSet(c)
-    ds = d if isinstance(d, PointSet) else PointSet(d)
-    if not len(cs) or not len(ds):
-        raise ValueError("progression test needs nonempty sets")
-    for name, s in (("first", cs), ("second", ds)):
-        if not _collinear(s.points):
-            raise NotCollinear(f"{name} set is not collinear")
-    if len(cs) == 1 or len(ds) == 1:
-        return True
-    dc = _common_step(cs.points)
-    return dc is not None and dc == _common_step(ds.points)
 
 
 def _common_step(pts: Sequence[Point]) -> Optional[tuple]:

@@ -173,7 +173,13 @@ def _draw(rng: random.Random, grid: Sequence[Tuple[int, int]], min_pts: int,
 
 def random_saturated_set(rng: random.Random, span: int = 9,
                          corners: int = 6) -> PointSet:
-    """Random lattice-saturated set: all lattice points of a random polygon."""
+    """Random lattice-saturated set: all lattice points of a random polygon
+    with ``corners`` corners drawn from [0, span]^2."""
+    # below these no draw spans an area, and the loop would never end
+    if span < 1:
+        raise ValueError("span must be at least 1")
+    if corners < 3:
+        raise ValueError("corners must be at least 3")
     while True:
         cand = {Point(rng.randint(0, span), rng.randint(0, span)) for _ in range(corners)}
         if len(cand) < 3:
@@ -348,7 +354,10 @@ def _read_state(state_path: str) -> Optional[dict]:
     if not os.path.exists(state_path):
         return None
     with open(state_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        state = json.load(fh)
+    if not isinstance(state, dict):
+        raise ResumeMismatch(f"checkpoint {state_path} is not a JSON object")
+    return state
 
 
 _CHECKPOINT_EVERY = 512

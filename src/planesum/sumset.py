@@ -24,23 +24,10 @@ both keep a set of the |A||B| sums instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .geometry import HullDecomposition, Point, PointSet, _box
-
-
-@dataclass(frozen=True)
-class SumWitness:
-    """A sum point with at least two distinct representations a + b."""
-
-    point: Point
-    pairs: tuple  # ((a1, b1), (a2, b2), ...) sorted
-
-    def __str__(self) -> str:
-        reps = ", ".join(f"{tuple(a)}+{tuple(b)}" for a, b in self.pairs)
-        return f"{tuple(self.point)} = {reps}"
 
 
 def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
@@ -180,24 +167,6 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomp
         b=b,
         i=size - b,
     )
-
-
-def unique_representation(a: PointSet, b: PointSet) -> Tuple[bool, Optional[SumWitness]]:
-    """Whether every sum point has exactly one representation.
-
-    Holds exactly when |a + b| = |a| * |b|. On failure returns the
-    lexicographically smallest multiply-represented sum point with all of
-    its representations.
-    """
-    s = minkowski_sum(a, b)
-    if len(s) == len(a) * len(b):
-        return True, None
-    reps: dict = {}
-    for p in a:
-        for q in b:
-            reps.setdefault(p + q, []).append((p, q))
-    collided = min(pt for pt, pairs in reps.items() if len(pairs) > 1)
-    return False, SumWitness(point=collided, pairs=tuple(sorted(reps[collided])))
 
 
 def _class_key(pts: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:

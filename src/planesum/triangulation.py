@@ -27,10 +27,6 @@ all. The lower pops reversed, then the upper pops, are the visible edges in
 the CCW order a scan of every fringe edge would give. Each point is pushed
 once and popped at most once per chain, so after the sort all insertions
 together take linear time.
-
-``twice_hull_area`` is the shoelace sum over hull vertices. For a set that
-contains every lattice point of its hull it equals b + 2i - 2 (Pick's
-theorem), which the test suite exploits as a third independent route.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from .geometry import (
     Point,
     PointSet,
     _collinear,
-    convex_hull,
 )
 
 
@@ -71,18 +66,6 @@ class Triangulation:
 def tr_euler(decomp: HullDecomposition) -> int:
     """Triangle count b + 2i - 2 common to all full triangulations."""
     return decomp.b + 2 * decomp.i - 2
-
-
-def twice_hull_area(points: Union[PointSet, Iterable[Coords]]) -> int:
-    """Twice the area of the convex hull (shoelace over the CCW hull cycle)."""
-    hull = convex_hull(points)
-    if len(hull) < 3:
-        raise CollinearInput("hull spans no area")
-    total = 0
-    for k in range(len(hull)):
-        p, q = hull[k], hull[(k + 1) % len(hull)]
-        total += p.x * q.y - q.x * p.y
-    return total
 
 
 def triangulate_explicit(points: Union[PointSet, Iterable[Coords]]) -> Triangulation:
@@ -158,11 +141,3 @@ def lattice_points_in_hull(hull_vertices: Iterable[Coords]) -> List[Point]:
                 out.append(Point(x, y))
     return out
 
-
-def is_lattice_saturated(points: Union[PointSet, Iterable[Coords]]) -> bool:
-    """Whether the set contains every lattice point of its convex hull."""
-    ps = points if isinstance(points, PointSet) else PointSet(points)
-    hull = convex_hull(ps)
-    if len(hull) < 3:
-        raise CollinearInput("saturation is defined for non-collinear sets")
-    return all(p in ps for p in lattice_points_in_hull(hull))

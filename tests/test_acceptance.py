@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lattice_sets import sums_by_set
+from lattice_sets import sums_by_set, twice_hull_area, unique_representation
 from planesum import (
     Case,
     PointSet,
@@ -37,8 +37,6 @@ from planesum import (
     sum_decomposition,
     tr_euler,
     triangulate_explicit,
-    twice_hull_area,
-    unique_representation,
 )
 from planesum.search import CHECK_NAMES
 
@@ -232,8 +230,7 @@ def test_criterion_9_unique_representation_bound():
     bad = 0
     for _ in range(50):
         a, b = separated_pair(rng)
-        unique, _ = unique_representation(a, b)
-        if not unique or not check_unique_rep_bound(a, b):
+        if not unique_representation(a, b) or not check_unique_rep_bound(a, b):
             bad += 1
     elapsed = time.perf_counter() - t0
     ok = bad == 0 and elapsed < 30.0

@@ -150,6 +150,19 @@ class TestSearch:
         assert err == "error: min_pts must be at most the 2x2 grid's 4 cells\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("payload", ["[]", "null"])
+    def test_checkpoint_not_an_object(self, tmp_path, capsys, payload):
+        # valid JSON but no checkpoint: an input error, never the exit 1 of a
+        # counterexample
+        report = tmp_path / "out.txt"
+        state = tmp_path / "out.txt.ckpt.shard000.json"
+        state.write_text(payload)
+        code = cli_dispatch(["search", "--grid", "2x2", "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: ResumeMismatch: checkpoint {state} is not a JSON object\n"
+        assert not report.exists()
+
     @pytest.mark.parametrize("check", ["vibes", "main"])
     def test_unknown_check_rejected(self, tmp_path, capsys, check):
         code = cli_dispatch(["search", "--grid", "2x2", "--check", check,

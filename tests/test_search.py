@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_sets import is_lattice_saturated, unique_representation
 import planesum.conjecture as conjecture_mod
 import planesum.search as search_mod
 from planesum import (
@@ -25,12 +26,10 @@ from planesum import (
     check_pair,
     classify_points,
     enumerate_point_sets,
-    is_lattice_saturated,
     random_point_set,
     random_saturated_set,
     run_search,
     separated_pair,
-    unique_representation,
 )
 from planesum.search import run_shard, serialize_set_id
 from planesum.sumset import canonical_translate
@@ -166,12 +165,33 @@ class TestRandomGenerators:
             s = random_saturated_set(rng)
             assert is_lattice_saturated(s)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"span": 0}, "span"), ({"span": -3}, "span"),
+        ({"corners": 2}, "corners"), ({"corners": 0}, "corners")],
+        ids=["span=0", "span=-3", "corners=2", "corners=0"])
+    def test_random_saturated_set_rejects_arealess_arguments(self, kwargs, message):
+        # no draw of these spans an area, so the loop would never end; the
+        # arguments are rejected before the first draw
+        class NoDraws(random.Random):
+            def randint(self, a, b):
+                raise AssertionError("drew before checking the arguments")
+
+        with pytest.raises(ValueError, match=message):
+            random_saturated_set(NoDraws(0), **kwargs)
+
+    def test_random_saturated_set_seed_pinned(self):
+        # the benchmark's pairs-large set-up draws through this function, so
+        # a set and the generator state after it must not move
+        rng = random.Random(2)
+        s = random_saturated_set(rng, span=4, corners=4)
+        assert [tuple(p) for p in s] == [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (2, 4)]
+        assert rng.randint(0, 10**6) == 222527
+
     def test_separated_pair_has_unique_representation(self):
         rng = random.Random(3)
         for _ in range(25):
             a, b = separated_pair(rng)
-            ok, witness = unique_representation(a, b)
-            assert ok, witness
+            assert unique_representation(a, b)
 
     @pytest.mark.parametrize("grid", [(1, 5), (5, 1), (1, 1)])
     def test_one_line_grid_rejected(self, grid):
@@ -762,7 +782,7 @@ def _reference_report(cfg: SearchConfig) -> bytes:
             continue
         if "interior-both" in cfg.filters and not (i_a and i_b):
             continue
-        if "unique-rep" in cfg.filters and not unique_representation(a, b)[0]:
+        if "unique-rep" in cfg.filters and not unique_representation(a, b):
             continue
         lines.append(SearchRecord(a_id=serialize_set_id(a), b_id=serialize_set_id(b),
                                   report=check_pair(a, b), checks={}, walltime=0.0).line())

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_sets import full_column_sets, saturated_sets, sums_by_set
+from lattice_sets import (
+    full_column_sets,
+    saturated_sets,
+    sums_by_set,
+    support_set,
+    unique_representation,
+)
 from planesum import (
     CollinearInput,
     Direction,
+    Pair,
     Point,
     PointSet,
     arc_decomposition,
@@ -24,8 +31,6 @@ from planesum import (
     random_saturated_set,
     separated_pair,
     sum_decomposition,
-    support_set,
-    unique_representation,
 )
 from planesum import sumset
 
@@ -80,37 +85,28 @@ class TestMinkowskiSum:
 
 
 class TestUniqueRepresentation:
+    """``Pair.unique`` reads |A + B| = |A||B| off the sum kernel; the
+    reference counts the set of every product."""
+
     def test_triangle_with_itself_collides(self):
-        ok, witness = unique_representation(TRI, TRI)
-        assert not ok
-        assert witness.point == Point(0, 1)
-        assert str(witness) == "(0, 1) = (0, 0)+(0, 1), (0, 1)+(0, 0)"
+        assert not Pair(TRI, TRI).unique
+        assert not unique_representation(TRI, TRI)
 
     def test_widely_scaled_copy_is_unique(self):
         scaled = PointSet([(0, 0), (10, 0), (0, 10)])
-        ok, witness = unique_representation(TRI, scaled)
-        assert ok and witness is None
-
-    def test_witness_is_lex_smallest_collision(self):
-        a = PointSet([(0, 0), (1, 0), (2, 0)])
-        b = PointSet([(0, 0), (1, 0)])
-        ok, witness = unique_representation(a, b)
-        assert not ok
-        assert witness.point == Point(1, 0)
-        assert witness.pairs == ((Point(0, 0), Point(1, 0)), (Point(1, 0), Point(0, 0)))
+        assert Pair(TRI, scaled).unique
+        assert unique_representation(TRI, scaled)
 
     @given(point_sets, point_sets)
     @settings(max_examples=80)
     def test_flag_matches_cardinality(self, a, b):
-        ok, witness = unique_representation(a, b)
+        ok = unique_representation(a, b)
         assert ok == (len(minkowski_sum(a, b)) == len(a) * len(b))
-        if ok:
-            assert witness is None
-        else:
-            assert len(witness.pairs) >= 2
-            for p, q in witness.pairs:
-                assert p in a and q in b
-                assert p + q == witness.point
+        try:
+            pair = Pair(a, b)
+        except CollinearInput:
+            return
+        assert pair.unique == ok
 
 
 class TestCanonicalTranslate:
@@ -314,8 +310,10 @@ class TestMemoTables:
         min_size=1, max_size=6))
     @settings(max_examples=120, deadline=None)
     def test_edge_steps_match_support_set(self, d, vectors):
-        assert list(d.edge_steps) == [(u.dx, u.dy) for u in d.edge_normals]
-        for u in d.edge_normals:
+        vs = d.hull_vertices
+        normals = [Direction.of(b.y - a.y, a.x - b.x) for a, b in zip(vs, vs[1:] + vs[:1])]
+        assert list(d.edge_steps) == [(u.dx, u.dy) for u in normals]
+        for u in normals:
             pts = support_set(d.points, u).points
             steps = {(q.x - p.x, q.y - p.y) for p, q in zip(pts, pts[1:])}
             assert len(pts) >= 2

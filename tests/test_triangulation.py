@@ -2,7 +2,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lattice_sets import full_column_sets, saturated_sets
+from lattice_sets import (
+    full_column_sets,
+    is_lattice_saturated,
+    orientation,
+    saturated_sets,
+    twice_hull_area,
+)
 from planesum import (
     CollinearInput,
     Point,
@@ -10,13 +16,10 @@ from planesum import (
     Triangle,
     classify_points,
     convex_hull,
-    is_lattice_saturated,
     lattice_points_in_hull,
     minkowski_sum,
-    orientation,
     tr_euler,
     triangulate_explicit,
-    twice_hull_area,
 )
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
