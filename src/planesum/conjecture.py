@@ -64,6 +64,7 @@ from .geometry import (
     Point,
     PointSet,
     _collinear,
+    _cones_meet,
     classify_points,
     convex_hull,
     generic_direction,
@@ -260,36 +261,36 @@ def check_sum_boundary(a: PointSet, b: PointSet,
     """Boundary membership of a + b must match normal-cone intersection.
 
     Points with no cone (interior points) must produce interior sums. The
-    cones are the summands' integer cone rows. Both are closed arcs of less
-    than a half turn, and two such arcs meet exactly when one contains the
-    other's first ray, so two containment tests decide whether they meet.
+    cones are the summands' integer cone rows, and two of them meet when
+    one holds the other's first ray. Where the sum was found on the packed
+    grid, the check reads its boundary bits: the sums p + q of one point p
+    of A are a shift of B's packed cells, so for each p one shift and one
+    AND give the q with p + q on the boundary, which must equal the cells
+    of B whose cone meets p's cone (``HullDecomposition.cone_masks``).
+    Otherwise it tests each p + q against the boundary set.
     """
     return _sum_boundary(_pair_for("sum_boundary", a, b, decomp_a, decomp_b, decomp_ab))
 
 
 def _sum_boundary(p: Pair) -> bool:
-    sum_boundary = p.dab.boundary
-    rows_b = p.db.cone_rows
-    for px, py, ca in p.da.cone_rows:
-        if ca is None:
-            if any((px + qx, py + qy) in sum_boundary for qx, qy, _ in rows_b):
-                return False
-            continue
-        alx, aly, ahx, ahy = ca
-        a_ray = alx == ahx and aly == ahy
-        for qx, qy, cb in rows_b:
-            meet = False
-            if cb is not None:
-                blx, bly, bhx, bhy = cb
-                # B's first ray in A's cone; a ray cone holds only itself
-                meet = ((blx == alx and bly == aly) if a_ray else
-                        alx * bly - aly * blx >= 0 and blx * ahy - bly * ahx >= 0)
-                # A's first ray in B's cone, unless B's cone is one ray, when
-                # that needs al == bl and the test above already found it
-                if not meet and (blx != bhx or bly != bhy):
-                    meet = blx * aly - bly * alx >= 0 and alx * bhy - aly * bhx >= 0
-            if ((px + qx, py + qy) in sum_boundary) != meet:
-                return False
+    grid = p.dab.grid
+    if grid is None:
+        sum_boundary = p.dab.boundary
+        rows_b = p.db.cone_rows
+        for px, py, ca in p.da.cone_rows:
+            for qx, qy, cb in rows_b:
+                meet = ca is not None and cb is not None and _cones_meet(ca, cb)
+                if ((px + qx, py + qy) in sum_boundary) != meet:
+                    return False
+        return True
+    bits, w, h = grid
+    da, db = p.da, p.db
+    cells_b = db.packed(h, w)
+    masks = db.cone_masks(h, w)
+    x0, y0 = da.box[0], da.box[1]
+    for x, y, cone in da.cone_rows:
+        if bits >> w * ((x - x0) * h + y - y0) & cells_b != masks[cone]:
+            return False
     return True
 
 

@@ -333,11 +333,96 @@ class HullDecomposition:
             arc = self._arcs[key] = arc_decomposition(self, v)
         return arc
 
+    # Grid tables, memoised per field layout (h, w): the column height and
+    # the field width of a sum's packed grid (see ``sumset``). A sweep meets
+    # a handful of layouts per set, so each set keeps a few ints per layout.
+
+    @cached_property
+    def _packed(self) -> dict:
+        return {}
+
+    @cached_property
+    def _cone_masks(self) -> dict:
+        return {}
+
+    def packed(self, h: int, w: int) -> int:
+        """The set as an int with a 1 at bit w k for each of its cells k,
+        column-major with column height h from the corner of its box: the
+        factor of the packed product that ``sum_decomposition`` multiplies."""
+        key = (h, w)
+        bits = self._packed.get(key)
+        if bits is None:
+            bits = self._packed[key] = _pack(self.points.points, self.box, h, w)
+        return bits
+
+    def cone_masks(self, h: int, w: int) -> "_ConeMasks":
+        """cone -> the set's cells, packed as ``packed(h, w)`` packs them,
+        whose cone in ``cone_rows`` meets that cone; None -> 0. Each mask is
+        built on first read."""
+        key = (h, w)
+        masks = self._cone_masks.get(key)
+        if masks is None:
+            masks = self._cone_masks[key] = _ConeMasks(self, h, w)
+        return masks
+
+    # read as ``SumDecomposition.grid`` is read: a set has no packed sum grid
+    grid = None
+
 
 def _box(pts: Sequence[Coords]) -> tuple:
     """(x0, y0, x1, y1): the bounding box of a nonempty point sequence."""
     xs, ys = zip(*pts)
     return min(xs), min(ys), max(xs), max(ys)
+
+
+def _pack(pts: Iterable[Coords], box: tuple, h: int, w: int) -> int:
+    """An int with a 1 at bit w k for each point's cell k = (x - x0) h +
+    (y - y0), where (x0, y0) are the first two entries of ``box``."""
+    x0, y0 = box[0], box[1]
+    bits = 0
+    for x, y in pts:
+        bits |= 1 << w * ((x - x0) * h + y - y0)
+    return bits
+
+
+def _cones_meet(ca: tuple, cb: tuple) -> bool:
+    """Whether two cones of ``cone_rows`` meet. Both are closed arcs of less
+    than a half turn, and two such arcs meet exactly when one contains the
+    other's first ray, so two containment tests decide it."""
+    alx, aly, ahx, ahy = ca
+    blx, bly, bhx, bhy = cb
+    # B's first ray in A's cone; a ray cone holds only itself
+    if alx == ahx and aly == ahy:
+        if blx == alx and bly == aly:
+            return True
+    elif alx * bly - aly * blx >= 0 and blx * ahy - bly * ahx >= 0:
+        return True
+    # A's first ray in B's cone, unless B's cone is one ray, when that needs
+    # al == bl and the test above already found it
+    return ((blx != bhx or bly != bhy)
+            and blx * aly - bly * alx >= 0 and alx * bhy - aly * bhx >= 0)
+
+
+class _ConeMasks(dict):
+    """``HullDecomposition.cone_masks`` at one layout: cone -> mask, each
+    mask built on first read from the set's boundary cells and cones."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, d: HullDecomposition, h: int, w: int):
+        super().__init__()
+        x0, y0 = d.box[0], d.box[1]
+        self._rows = [(1 << w * ((x - x0) * h + y - y0), cone)
+                      for x, y, cone in d.cone_rows if cone is not None]
+
+    def __missing__(self, cone: Optional[tuple]) -> int:
+        mask = 0
+        if cone is not None:
+            for bit, c in self._rows:
+                if _cones_meet(cone, c):
+                    mask |= bit
+        self[cone] = mask
+        return mask
 
 
 def _line_key(dx: int, dy: int) -> tuple:

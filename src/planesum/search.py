@@ -41,7 +41,7 @@ import json
 import os
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .conjecture import CHECKS, ConjectureReport, Pair, Verdict, _fmt_bool
@@ -55,7 +55,7 @@ from .geometry import (
     convex_hull,
     interior_count,
 )
-from .sumset import _class_key
+from .sumset import _class_key, sum_decomposition
 from .triangulation import lattice_points_in_hull
 
 GRID_CELL_CAP = 25
@@ -350,14 +350,49 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     os.replace(tmp, path)
 
 
-def _read_state(state_path: str) -> Optional[dict]:
+def _read_state(state_path: str, fingerprint: str) -> Optional[dict]:
+    """The checkpoint object at the path, or None where there is none.
+
+    Raises ResumeMismatch naming the file when the file holds no JSON
+    object, or when the object's ``config`` is ``fingerprint`` but its other
+    fields are not those ``run_shard`` writes: ``visited`` and ``records``
+    non-negative ints, ``complete`` a bool and, for a complete shard, a
+    ``tally`` object with ``ReportTally``'s fields.
+    """
     if not os.path.exists(state_path):
         return None
     with open(state_path, "r", encoding="utf-8") as fh:
         state = json.load(fh)
     if not isinstance(state, dict):
         raise ResumeMismatch(f"checkpoint {state_path} is not a JSON object")
+    if state.get("config") == fingerprint and not _state_fields_ok(state):
+        raise ResumeMismatch(f"checkpoint {state_path} has missing or malformed fields")
     return state
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _is_lines(v) -> bool:
+    return isinstance(v, list) and all(isinstance(line, str) for line in v)
+
+
+def _state_fields_ok(state: dict) -> bool:
+    if not (_is_count(state.get("visited")) and _is_count(state.get("records"))
+            and isinstance(state.get("complete"), bool)):
+        return False
+    if not state["complete"]:
+        return True
+    tally = state.get("tally")
+    return (isinstance(tally, dict)
+            and tally.keys() == {f.name for f in fields(ReportTally)}
+            and isinstance(tally["verdicts"], dict)
+            and tally["verdicts"].keys() == {v.text for v in Verdict}
+            and isinstance(tally["cases"], dict)
+            # JSON object keys are strings already
+            and all(map(_is_count, [*tally["verdicts"].values(), *tally["cases"].values()]))
+            and all(map(_is_lines, [tally["fails"], tally["check_failures"], tally["flagged"]])))
 
 
 _CHECKPOINT_EVERY = 512
@@ -375,11 +410,17 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
     (``records``, smaller when filters drop pairs); resuming truncates the
     record file to that many lines, re-tallies them and skips that many
     pairs. The final checkpoint also stores the shard's ``tally``, which a
-    call on a complete shard returns.
+    call on a complete shard returns; a checkpoint of this configuration
+    with missing or malformed fields raises ResumeMismatch.
+
+    Summands and sums are cached for the shard alone: one decomposition per
+    class, which memoises its packed grids and cone masks per layout, and
+    one ``walks`` memo of hull walks that every pair's
+    ``sum_decomposition`` reads. All of it is dropped when the call returns.
     """
     fingerprint = cfg.fingerprint()
     records_path, state_path = _shard_paths(cfg, shard)
-    state = _read_state(state_path)
+    state = _read_state(state_path, fingerprint)
     if state is not None and state.get("config") != fingerprint:
         raise ResumeMismatch(
             f"checkpoint {state_path} was written by a different configuration"
@@ -389,8 +430,8 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
     if state is not None and os.path.exists(records_path):
         if state.get("complete"):
             return ReportTally(**state["tally"])
-        visited_done = int(state.get("visited", 0))
-        records_done = int(state.get("records", 0))
+        visited_done = state["visited"]
+        records_done = state["records"]
     kept: List[str] = []
     if records_done:
         with open(records_path, "r", encoding="utf-8") as fh:
@@ -417,6 +458,7 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
             d = table[key] = decomp(_canonical(key, cfg.symmetry)) if passes else None
         return d
 
+    walks: dict = {}
     set_id = functools.cache(serialize_set_id)
     checks_run = [(name, CHECKS[name]) for name in cfg.checks]
     unique_only = "unique-rep" in cfg.filters
@@ -429,7 +471,7 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
                 if db.points < da.points:
                     da, db = db, da
                 a, b = da.points, db.points
-                pair = Pair(a, b, da, db)
+                pair = Pair(a, b, da, db, sum_decomposition(da, db, walks))
                 if not unique_only or pair.unique:
                     report = pair.report()
                     checks = {name: outcome(pair) if applies(pair) else None
@@ -553,7 +595,7 @@ def run_search(cfg: SearchConfig) -> SearchSummary:
     # of its shards: with another worker count that run may have had more
     files = _shard_files(cfg)
     stale = tuple(path[:-len("json")] for path in files if path.endswith(".json")
-                  and _read_state(path).get("config") != fingerprint)
+                  and _read_state(path, fingerprint).get("config") != fingerprint)
     if stale:
         raise ResumeMismatch("checkpoint files written by a different configuration; "
                              "remove them to start afresh: "

@@ -10,24 +10,34 @@ of A + B is interior. ``classify_points(minkowski_sum(a, b))`` decides the
 same split from scratch and is the reference the tests hold the kernel to.
 
 Both ``sum_decomposition`` and ``minkowski_sum`` find A + B as a packed
-grid where it is dense (``_grid_sum``). Each summand becomes one int with a
-field of w = min(|A|, |B|).bit_length() + 1 bits per cell of the sum's
-bounding box, cells in column-major order; the product of the two ints
-counts every cell's representations a + b, which w bits hold without a
-carry, and one add, one shift and one mask leave one bit per cell of
-A + B. ``|A + B|`` is then a popcount, a hull-edge point a bit test, and
-column-major order is lexicographic order, so ``minkowski_sum`` decodes
-the sums sorted. Where the grid would cost more than ``_BITS_PER_PRODUCT``
-bits per product |A||B|, as for the far-apart sets of a separated pair,
-both keep a set of the |A||B| sums instead.
+grid where it is dense. Each summand becomes one int with a field of
+w = min(|A|, |B|).bit_length() + 1 bits per cell of the sum's bounding box,
+cells in column-major order; the product of the two ints counts every
+cell's representations a + b, which w bits hold without a carry, and one
+add, one shift and one mask leave one bit per cell of A + B. ``|A + B|`` is
+then a popcount, and column-major order is lexicographic order, so
+``minkowski_sum`` decodes the sums sorted. Where the grid would cost more
+than ``_BITS_PER_PRODUCT`` bits per product |A||B|, as for the far-apart
+sets of a separated pair, both keep a set of the |A||B| sums instead.
+
+On the grid the hull walk depends on the summands' hull shapes alone: the
+edge tables of A and B and the field width w fix the grid's column height,
+its cell count and the cell of every lattice point on the sum's hull,
+counted from the box corner. ``sum_decomposition`` keeps the walk as one
+mask of those cells, and a caller that sums many pairs passes a dict
+``walks`` in which each (edge table of A, edge table of B, w) is walked
+once. A pair then costs the product of the two summands' packed ints,
+which ``HullDecomposition.packed`` memoises per set and layout, one AND
+and two popcounts.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
-from typing import NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from itertools import chain, compress, count
+from typing import List, Optional, Sequence, Tuple
 
-from .geometry import HullDecomposition, Point, PointSet, _box
+from .geometry import HullDecomposition, Point, PointSet, _box, _pack
 
 
 def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
@@ -41,10 +51,8 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
         sums = {(px + qx, py + qy) for px, py in a.points for qx, qy in b.points}
         return PointSet._sorted(map(Point._make, sorted(sums)))
     bits, w, h, x0, y0 = grid
-    # the binary string read backwards in steps of w holds bit w k at k, and
     # column-major cell order is lexicographic order: no sort
-    cells = compress(count(), format(bits, "b")[::-w].encode().translate(_ZERO))
-    return PointSet._sorted([Point(x0 + k // h, y0 + k % h) for k in cells])
+    return PointSet._sorted([Point(x0 + k // h, y0 + k % h) for k in _cells(bits, w)])
 
 
 # The packed grid costs a few bignum operations on its w * cells bits, the
@@ -58,6 +66,28 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
 _BITS_PER_PRODUCT = 16
 
 _ZERO = bytes.maketrans(b"0", b"\0")  # '0' to a false byte; '1' stays true
+
+
+def _cells(bits: int, w: int):
+    """The cells k with bit w k set, in increasing order: the binary string
+    read backwards in steps of w holds bit w k at k."""
+    return compress(count(), format(bits, "b")[::-w].encode().translate(_ZERO))
+
+
+def _layout(a_box: tuple, b_box: tuple) -> Tuple[int, int]:
+    """(h, cells): the column height and cell count of the grid of the
+    bounding box of A + B."""
+    ax0, ay0, ax1, ay1 = a_box
+    bx0, by0, bx1, by1 = b_box
+    h = ay1 - ay0 + by1 - by0 + 1
+    return h, (ax1 - ax0 + bx1 - bx0 + 1) * h
+
+
+def _fields(w: int, cells: int) -> Tuple[int, int]:
+    """(ones, fill): a 1 at the low bit of each of the w-bit fields of the
+    grid, and 2^(w-1) - 1 in each field."""
+    ones = ((1 << w * cells) - 1) // ((1 << w) - 1)
+    return ones, ones * ((1 << w - 1) - 1)
 
 
 def _grid_sum(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]],
@@ -76,49 +106,111 @@ def _grid_sum(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]],
     Returns (bits, w, h, x0, y0): bit w k of ``bits`` is set exactly when
     cell k is in A + B.
     """
-    ax0, ay0, ax1, ay1 = a_box
-    bx0, by0, bx1, by1 = b_box
-    h = ay1 - ay0 + by1 - by0 + 1
-    cells = (ax1 - ax0 + bx1 - bx0 + 1) * h
+    h, cells = _layout(a_box, b_box)
     w = min(len(a), len(b)).bit_length() + 1
     if w * cells > _BITS_PER_PRODUCT * len(a) * len(b):
         return None
-    pa = pb = 0
-    for x, y in a:
-        pa |= 1 << w * ((x - ax0) * h + y - ay0)
-    for x, y in b:
-        pb |= 1 << w * ((x - bx0) * h + y - by0)
-    ones = ((1 << w * cells) - 1) // ((1 << w) - 1)  # a 1 at the low bit of each field
-    bits = (pa * pb + ones * ((1 << w - 1) - 1)) >> w - 1 & ones
-    return bits, w, h, ax0 + bx0, ay0 + by0
+    ones, fill = _fields(w, cells)
+    bits = (_pack(a, a_box, h, w) * _pack(b, b_box, h, w) + fill) >> w - 1 & ones
+    return bits, w, h, a_box[0] + b_box[0], a_box[1] + b_box[1]
 
 
-class SumDecomposition(NamedTuple):
+class SumDecomposition:
     """Hull boundary and interior of A + B, as ``sum_decomposition`` finds them.
 
-    Points are plain ``(x, y)`` tuples, which compare and hash equal to
-    ``Point``s. ``size`` is |A + B|. ``hull_vertices`` is in the order that
-    ``classify_points`` gives it: CCW from the lexicographically smallest
-    vertex. ``b`` and ``i`` are the boundary and interior counts.
+    ``size`` is |A + B|, ``b`` and ``i`` the boundary and interior counts.
+    ``grid`` is (bits, w, h) where the sum was found on the packed grid: bit
+    w k of ``bits`` is set exactly when cell k of the sum's bounding box,
+    column-major with column height h and w bits per cell, is a boundary
+    point of A + B; it is None where the sum was kept as a set.
+    ``hull_vertices`` and ``boundary`` are built on first read: the vertices
+    CCW from the lexicographically smallest one, in the order that
+    ``classify_points`` gives them, and the set of boundary points, both as
+    plain ``(x, y)`` tuples, which compare and hash equal to ``Point``s.
     """
 
-    size: int
-    hull_vertices: tuple
-    boundary: frozenset
-    b: int
-    i: int
+    def __init__(self, size: int, b: int, grid: Optional[tuple],
+                 da: HullDecomposition, db: HullDecomposition):
+        self.size = size
+        self.b = b
+        self.i = size - b
+        self.grid = grid
+        self._summands = da, db
+
+    @cached_property
+    def hull_vertices(self) -> tuple:
+        return tuple(_hull_walk(*self._summands)[0])
+
+    @cached_property
+    def boundary(self) -> frozenset:
+        bits, w, h = self.grid
+        da, db = self._summands
+        x0, y0 = da.box[0] + db.box[0], da.box[1] + db.box[1]
+        return frozenset([(x0 + k // h, y0 + k % h) for k in _cells(bits, w)])
 
 
-def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomposition:
-    """Boundary/interior split of A + B from the decompositions of A and B."""
-    grid = _grid_sum(da.points.points, db.points.points, da.box, db.box)
-    if grid is None:
-        pts = {(ax + bx, ay + by)
-               for ax, ay in da.points.points for bx, by in db.points.points}
-        size = len(pts)
-    else:
-        bits, w, h, x0, y0 = grid
-        size = bits.bit_count()
+def sum_decomposition(da: HullDecomposition, db: HullDecomposition,
+                      walks: Optional[dict] = None) -> SumDecomposition:
+    """Boundary/interior split of A + B from the decompositions of A and B.
+
+    ``walks`` is a memo of hull walks that the caller owns and passes to
+    every call: one entry of a few ints per (edge table of A, edge table of
+    B, field width). Without it each call walks the hull afresh; the
+    result is the same.
+    """
+    na, nb = len(da.points), len(db.points)
+    w = min(na, nb).bit_length() + 1
+    max_bits = _BITS_PER_PRODUCT * na * nb
+    key = (da.edge_table, db.edge_table, w)
+    walk = None if walks is None else walks.get(key)
+    if walk is None or walk[1] > max_bits:
+        walk = _grid_walk(da, db, w, max_bits)
+        if walk is None:
+            return _set_sum(da, db)
+        if walks is not None:
+            walks[key] = walk
+    h, _, ones, fill, hull = walk
+    bits = (da.packed(h, w) * db.packed(h, w) + fill) >> w - 1 & ones
+    boundary = bits & hull
+    return SumDecomposition(bits.bit_count(), boundary.bit_count(), (boundary, w, h),
+                            da, db)
+
+
+def _grid_walk(da: HullDecomposition, db: HullDecomposition, w: int,
+               max_bits: int) -> Optional[tuple]:
+    """(h, w cells, ones, fill, hull) for the w-bit grid of the bounding box
+    of A + B, or None when that grid has more than ``max_bits`` bits.
+
+    ``hull`` has a 1 at bit w k for each lattice point k on the hull of
+    A + B, whether in A + B or not; h and the rest are as ``_layout`` and
+    ``_fields`` give them. Every entry is fixed by the two edge tables and
+    w, since translating A or B translates the sum's box and hull alike.
+    """
+    h, cells = _layout(da.box, db.box)
+    if w * cells > max_bits:
+        return None
+    ones, fill = _fields(w, cells)
+    corner = da.box[0] + db.box[0], da.box[1] + db.box[1]
+    return h, w * cells, ones, fill, _pack(chain(*_hull_walk(da, db)), corner, h, w)
+
+
+def _set_sum(da: HullDecomposition, db: HullDecomposition) -> SumDecomposition:
+    """``sum_decomposition`` with A + B kept as a set of its sums."""
+    pts = {(ax + bx, ay + by) for ax, ay in da.points.points for bx, by in db.points.points}
+    vertices, edge_points = _hull_walk(da, db)
+    boundary = [p for p in edge_points if p in pts]
+    boundary.extend(vertices)
+    d = SumDecomposition(len(pts), len(boundary), None, da, db)
+    d.hull_vertices = tuple(vertices)
+    d.boundary = frozenset(boundary)
+    return d
+
+
+def _hull_walk(da: HullDecomposition, db: HullDecomposition,
+               ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """(vertices, edge points) of the hull of A + B: its vertices CCW from
+    the lexicographically smallest, and the lattice points strictly inside
+    its edges."""
     ea, eb = da.edge_table, db.edge_table
     na, nb = len(ea), len(eb)
     # merge the two edge cycles by angle; rows are (half, sx, sy, g)
@@ -145,7 +237,7 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomp
     a0, b0 = da.hull_vertices[0], db.hull_vertices[0]
     x, y = a0[0] + b0[0], a0[1] + b0[1]
     vertices = []
-    edge_points = []  # the lattice points strictly inside the hull's edges
+    edge_points = []
     for sx, sy, g in merged:
         vertices.append((x, y))  # a vertex of A + B is a sum of vertices
         for _ in range(g - 1):
@@ -154,19 +246,7 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition) -> SumDecomp
             edge_points.append((x, y))
         x += sx
         y += sy
-    if grid is None:
-        boundary = [p for p in edge_points if p in pts]
-    else:
-        boundary = [p for p in edge_points if bits >> w * ((p[0] - x0) * h + p[1] - y0) & 1]
-    boundary.extend(vertices)
-    b = len(boundary)
-    return SumDecomposition(
-        size=size,
-        hull_vertices=tuple(vertices),
-        boundary=frozenset(boundary),
-        b=b,
-        i=size - b,
-    )
+    return vertices, edge_points
 
 
 def _class_key(pts: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,8 +6,9 @@ import sys
 import pytest
 
 import planesum.cli as cli_mod
-from planesum import PointSet, save_point_set
+from planesum import PointSet, SearchConfig, save_point_set
 from planesum.cli import build_parser, cli_dispatch
+from planesum.search import run_shard
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 TRI_DOUBLE = PointSet([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)])
@@ -161,6 +163,30 @@ class TestSearch:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: ResumeMismatch: checkpoint {state} is not a JSON object\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("tamper", [
+        lambda state: state.pop("tally"),
+        lambda state: state.update(tally=list(state["tally"].values())),
+        lambda state: state.update(visited=str(state["visited"])),
+    ], ids=["missing-tally", "tally-as-list", "visited-as-string"])
+    def test_checkpoint_with_malformed_fields(self, tmp_path, capsys, tamper):
+        # a complete shard of this very configuration, its records beside it,
+        # whose state lost a field or holds one of the wrong type: exit 2
+        # naming the file, never the exit 1 of a counterexample
+        report = tmp_path / "out.txt"
+        cfg = SearchConfig(grid_w=2, grid_h=2, report_path=str(report)).normalized()
+        run_shard(cfg, 0)
+        state_path = tmp_path / "out.txt.ckpt.shard000.json"
+        state = json.loads(state_path.read_text())
+        assert state["complete"]
+        tamper(state)
+        state_path.write_text(json.dumps(state))
+        code = cli_dispatch(["search", "--grid", "2x2", "--report", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (f"error: ResumeMismatch: checkpoint {state_path} "
+                       "has missing or malformed fields\n")
         assert not report.exists()
 
     @pytest.mark.parametrize("check", ["vibes", "main"])

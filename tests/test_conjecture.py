@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +9,7 @@ from lattice_sets import (
     full_column_sets,
     is_ap_same_difference,
     saturated_sets,
+    sums_by_set,
     support_set,
     unique_representation,
 )
@@ -32,7 +34,8 @@ from planesum import (
     sqrt_triple_compare,
     sum_decomposition,
 )
-from planesum.conjecture import CHECKS
+from planesum import sumset
+from planesum.conjecture import CHECKS, _sum_boundary
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 TRI_DOUBLE = minkowski_sum(TRI, TRI)
@@ -249,6 +252,35 @@ class TestSumBoundary:
         da, db = classify_points(a), classify_points(b)
         for dab in (sum_decomposition(da, db), classify_points(minkowski_sum(a, b))):
             assert check_sum_boundary(a, b, da, db, dab)
+
+
+    @given(st.one_of(noncollinear, long_runs), st.one_of(noncollinear, long_runs),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_grid_path_matches_coordinate_loop(self, a, b, rnd):
+        # the same sum on the packed grid and as a set: the check reads the
+        # grid's boundary bits on the first and tests each a + b on the second
+        da, db = classify_points(a), classify_points(b)
+        with mock.patch.object(sumset, "_BITS_PER_PRODUCT", math.inf):
+            on_grid = sum_decomposition(da, db)
+        with mock.patch.object(sumset, "_BITS_PER_PRODUCT", 0):
+            as_set = sum_decomposition(da, db)
+        assert on_grid.grid is not None and as_set.grid is None
+        assert _sum_boundary(Pair(a, b, da, db, on_grid))
+        assert _sum_boundary(Pair(a, b, da, db, as_set))
+        # one boundary point off the boundary, or one interior point on it:
+        # both paths must then fail
+        sums = sums_by_set(a.points, b.points)
+        interior = sorted(sums - as_set.boundary)
+        bits, w, h = on_grid.grid
+        x0, y0 = da.box[0] + db.box[0], da.box[1] + db.box[1]
+        for c in [rnd.choice(cells) for cells in (sorted(as_set.boundary), interior) if cells]:
+            on_grid.grid = (bits ^ 1 << w * ((c[0] - x0) * h + c[1] - y0), w, h)
+            assert not _sum_boundary(Pair(a, b, da, db, on_grid)), c
+            mutated = sum_decomposition(da, db)
+            mutated.grid = None
+            mutated.boundary = as_set.boundary ^ {c}
+            assert not _sum_boundary(Pair(a, b, da, db, mutated)), c
 
 
 class TestBoundarySuperadditivity:

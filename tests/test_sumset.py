@@ -26,6 +26,7 @@ from planesum import (
     convex_hull,
     generic_direction,
     is_translate_of,
+    lattice_points_in_hull,
     minkowski_sum,
     random_point_set,
     random_saturated_set,
@@ -172,12 +173,15 @@ class TestSumDecomposition:
     """The merged-hull kernel must split A + B exactly as the oracle does."""
 
     def _assert_matches_oracle(self, da, db):
-        got = sum_decomposition(da, db)
         sums = sums_by_set(da.points, db.points)
         ref = classify_points(sums)
-        assert (got.b, got.i, got.size) == (ref.b, ref.i, len(sums))
-        assert got.boundary == set(ref.boundary)
-        assert got.hull_vertices == ref.hull_vertices
+        # without a memo, and with one: a fresh walk, then the memoised one
+        walks = {}
+        for got in (sum_decomposition(da, db), sum_decomposition(da, db, walks),
+                    sum_decomposition(da, db, walks)):
+            assert (got.b, got.i, got.size) == (ref.b, ref.i, len(sums))
+            assert got.boundary == set(ref.boundary)
+            assert got.hull_vertices == ref.hull_vertices
 
     def test_triangle_doubled(self):
         d = classify_points(TRI)
@@ -232,8 +236,18 @@ def _assert_kernels_match_reference(a, b):
             assert got.points == expected, path
             assert all(type(p) is Point for p in got.points)
             if da is not None:
-                d = sum_decomposition(da, db)
-                assert (d.size, d.b, d.i, d.boundary, d.hull_vertices) == ref_split, path
+                walks = {}
+                for d in (sum_decomposition(da, db), sum_decomposition(da, db, walks),
+                          sum_decomposition(da, db, walks)):
+                    assert (d.size, d.b, d.i, d.boundary, d.hull_vertices) == ref_split, path
+                    assert (d.grid is None) == (path == "set"
+                                                or path == "rule" and _kept_as_set(a, b)), path
+
+
+def _kept_as_set(a, b):
+    """Whether the density rule keeps A + B as a set."""
+    return sumset._grid_sum(a.points, b.points, sumset._box(a.points),
+                            sumset._box(b.points)) is None
 
 
 def _reflected(a, t):
@@ -300,6 +314,63 @@ class TestPackedGrid:
                 a, b = a.points, b.points
                 grid = sumset._grid_sum(a, b, sumset._box(a), sumset._box(b))
                 assert (grid is not None) == packed
+
+
+def _with_hull(vertices, rng, k):
+    """The vertices of a lattice polygon plus k more of its lattice points,
+    drawn at random: every such set has the polygon's edge table."""
+    others = sorted(set(lattice_points_in_hull(vertices)) - set(vertices))
+    return PointSet(vertices + rng.sample(others, k))
+
+
+class TestWalkMemo:
+    """One ``walks`` memo shared by many pairs: each pair must split as the
+    reference does, whichever earlier pair filled the entry it reads."""
+
+    # a triangle and a square with 12 lattice points each besides their
+    # vertices, so summand sizes run from 3 to 16 and min(|A|, |B|) takes
+    # field widths w = 3, 4 and 5 where the grid is forced
+    @pytest.mark.parametrize("path", PATHS)
+    def test_translates_and_sizes_share_one_memo(self, path):
+        rng = random.Random(20)
+        triangle = [(0, 0), (4, 0), (0, 4)]
+        square = [(0, 0), (3, 0), (3, 3), (0, 3)]
+        sets = [_with_hull(vertices, rng, k) for vertices in (triangle, square)
+                for k in range(0, 13, 2) for _ in range(2)]
+        walks = {}
+        with _kernel_path(path):
+            for _ in range(120):
+                a, b = (s.translate((rng.randint(-9, 9), rng.randint(-9, 9)))
+                        for s in rng.sample(sets, 2))
+                da, db = classify_points(a), classify_points(b)
+                sums = sums_by_set(a.points, b.points)
+                ref = classify_points(sums)
+                d = sum_decomposition(da, db, walks)
+                assert ((d.size, d.b, d.i, d.boundary, d.hull_vertices)
+                        == (len(sums), ref.b, ref.i, set(ref.boundary), ref.hull_vertices))
+        if path == "packed":
+            # two edge tables in either role, three widths
+            assert {w for _, _, w in walks} == {3, 4, 5} and len(walks) <= 2 * 2 * 3
+        if path == "set":
+            assert not walks
+
+    def test_sparser_pair_on_a_shared_entry_keeps_the_set(self):
+        # both pairs read one entry: the same square hulls and w = 5; the sum's
+        # 7 x 7 grid has 245 bits, under 2 per product for 15 x 15 points and
+        # over it for 8 x 8
+        rng = random.Random(8)
+        square = [(0, 0), (3, 0), (3, 3), (0, 3)]
+        walks = {}
+        with mock.patch.object(sumset, "_BITS_PER_PRODUCT", 2):
+            for n, packed in ((15, True), (8, False)):
+                a, b = (_with_hull(square, rng, n - 4) for _ in range(2))
+                d = sum_decomposition(classify_points(a), classify_points(b), walks)
+                sums = sums_by_set(a.points, b.points)
+                ref = classify_points(sums)
+                assert (d.grid is not None) == packed
+                assert ((d.size, d.b, d.i, d.boundary, d.hull_vertices)
+                        == (len(sums), ref.b, ref.i, set(ref.boundary), ref.hull_vertices))
+        assert len(walks) == 1
 
 
 class TestMemoTables:
