@@ -281,11 +281,17 @@ class SearchRecord:
     walltime: float = 0.0
 
     def line(self) -> str:
-        checks = self.checks
-        tail = "".join([
-            f" {name}={'skip' if checks[name] is None else _fmt_bool(checks[name])}"
-            for name in CHECK_NAMES if name in checks])
-        return f"a={self.a_id} b={self.b_id} {' '.join(self.report.lines())}{tail}"
+        return f"a={self.a_id} b={self.b_id}{record_body(self.report, self.checks)}"
+
+
+def record_body(report: ConjectureReport, checks: Dict[str, Optional[bool]]) -> str:
+    """Everything of a record line after ``a=… b=…``, from its leading space:
+    the report's groups, then each named check in column order, ``skip``
+    where it does not apply."""
+    tail = "".join([
+        f" {name}={'skip' if checks[name] is None else _fmt_bool(checks[name])}"
+        for name in CHECK_NAMES if name in checks])
+    return f" {' '.join(report.lines())}{tail}"
 
 
 def serialize_set_id(s: PointSet) -> str:
@@ -416,7 +422,14 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
     Summands and sums are cached for the shard alone: one decomposition per
     class, which memoises its packed grids and cone masks per layout, and
     one ``walks`` memo of hull walks that every pair's
-    ``sum_decomposition`` reads. All of it is dropped when the call returns.
+    ``sum_decomposition`` reads. Record bodies are memoised for the shard
+    too: every selected check runs on every pair, and the pair's six counts,
+    ``unique``, ``extremal`` and the tuple of check outcomes key the text
+    after ``a=… b=…`` together with the main and case texts and whether a
+    check is false. ``Pair.report`` and ``record_body`` run only for a key
+    the shard has not seen, so each distinct body is spelled once per shard;
+    since the outcomes are in the key, a reused body never carries another
+    pair's verdict. All of it is dropped when the call returns.
     """
     fingerprint = cfg.fingerprint()
     records_path, state_path = _shard_paths(cfg, shard)
@@ -460,7 +473,9 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
 
     walks: dict = {}
     set_id = functools.cache(serialize_set_id)
-    checks_run = [(name, CHECKS[name]) for name in cfg.checks]
+    # body key -> (record body, main text, case text, some check false)
+    bodies: Dict[tuple, Tuple[str, str, str, bool]] = {}
+    checks_run = [CHECKS[name] for name in cfg.checks]
     unique_only = "unique-rep" in cfg.filters
     visited = visited_done
     with open(records_path, "a", encoding="utf-8") as out:
@@ -471,16 +486,23 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
                 if db.points < da.points:
                     da, db = db, da
                 a, b = da.points, db.points
-                pair = Pair(a, b, da, db, sum_decomposition(da, db, walks))
+                dab = sum_decomposition(da, db, walks)
+                pair = Pair(a, b, da, db, dab)
                 if not unique_only or pair.unique:
-                    report = pair.report()
-                    checks = {name: outcome(pair) if applies(pair) else None
-                              for name, (applies, outcome) in checks_run}
-                    line = SearchRecord(a_id=set_id(a), b_id=set_id(b), report=report,
-                                        checks=checks).line()
+                    outcomes = tuple([outcome(pair) if applies(pair) else None
+                                      for applies, outcome in checks_run])
+                    key = (da.b, da.i, db.b, db.i, dab.b, dab.i, pair.unique,
+                           pair.extremal, outcomes)
+                    memo = bodies.get(key)
+                    if memo is None:
+                        report = pair.report()
+                        memo = bodies[key] = (
+                            record_body(report, dict(zip(cfg.checks, outcomes))),
+                            report.main.text, report.case.text, False in outcomes)
+                    body, main, case, check_failed = memo
+                    line = f"a={set_id(a)} b={set_id(b)}{body}"
                     out.write(line + "\n")
-                    tally.add(line, report.main.text, report.case.text,
-                              False in checks.values())
+                    tally.add(line, main, case, check_failed)
             if visited % _CHECKPOINT_EVERY == 0:
                 out.flush()
                 _atomic_write(state_path, [json.dumps({

@@ -55,6 +55,27 @@ def orientation(p, q, r) -> int:
     return (det > 0) - (det < 0)
 
 
+def boundary_count(points) -> int:
+    """How many points of a non-collinear set lie on its hull boundary.
+
+    Andrew's monotone chain over the points in lexicographic order, popping
+    only at strict right turns, so that every point on a hull edge stays in
+    one of the two chains: the lower chain keeps the right vertical edge,
+    the upper chain the left one, and both hold the first and last point.
+    """
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and orientation(out[-2], out[-1], p) < 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return len(chain(pts)) + len(chain(reversed(pts))) - 2
+
+
 def support_set(points, u) -> PointSet:
     """Points of the set maximizing the dot product with the direction u."""
     ps = PointSet(points)

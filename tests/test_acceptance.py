@@ -4,7 +4,8 @@ Each test prints one ``[PASS]``/``[FAIL]`` line naming its criterion. The
 exhaustive 3x3 sweep is shared by criteria 4, 5, 6 and 10 through a
 session-scoped fixture, so the suite runs it once with one worker and once
 more with eight workers for the byte-determinism comparison; criterion 10
-also pins the report's sha256.
+also pins the report's sha256. One more test on the same report recomputes
+every record from tests-only code.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lattice_sets import sums_by_set, twice_hull_area, unique_representation
+from lattice_sets import boundary_count, sums_by_set, twice_hull_area, unique_representation
 from planesum import (
     Case,
     PointSet,
@@ -158,6 +159,81 @@ def test_criterion_6_interior_bounds(sweep3):
     ok = bad == 0 and applicable == checked and applicable > 0 and instance_ok
     _announce(6, ok, f"interior bounds hold on all {applicable} applicable "
                      f"pairs; worked instance i_sum=5 with 18 >= 18 equality")
+
+
+def _is_translate(x: set, y: set) -> bool:
+    (x0, x1), (y0, y1) = min(x), min(y)
+    return {(p - x0, q - x1) for p, q in x} == {(p - y0, q - y1) for p, q in y}
+
+
+def _fmt_opt(v) -> str:
+    return "none" if v is None else "holds" if v else "fails"
+
+
+def _recomputed_fields(a: list, b: list, count) -> dict:
+    """Every report field of the pair, decided here in integers: the sum
+    from ``sums_by_set``, boundary counts from the tests' own hull."""
+    s = sums_by_set(a, b)
+    (b_a, i_a), (b_b, i_b) = count(a), count(b)
+    b_ab = boundary_count(s)
+    i_ab = len(s) - b_ab
+    tr_a, tr_b, tr_ab = b_a + 2 * i_a - 2, b_b + 2 * i_b - 2, b_ab + 2 * i_ab - 2
+    d = tr_ab - tr_a - tr_b
+    if d < 0 or d * d < 4 * tr_a * tr_b:
+        main = "Fails"
+    else:
+        main = "Equality" if d * d == 4 * tr_a * tr_b else "StrictHolds"
+    form = 2 * i_ab >= b_a + b_b - 6 if i_a == i_b == 0 else None
+    extremal = None
+    if form is False:
+        extremal = ((len(a) == 3 and _is_translate(set(b), sums_by_set(a, a)))
+                    or (len(b) == 3 and _is_translate(set(a), sums_by_set(b, b))))
+    if len(s) == len(a) * len(b):
+        case = "UniqueRepresentation"
+    elif i_a == i_b == 1:
+        case = "OneInteriorEach"
+    elif i_a == i_b == 0:
+        case = "BoundaryOnly"
+    else:
+        case = "General"
+    ib = 2 * i_ab + b_ab >= 4 * i_a + 4 * i_b + 2 * b_a + 2 * b_b - 6
+    values = {
+        "tr_a": tr_a, "tr_b": tr_b, "tr_ab": tr_ab, "b_a": b_a, "i_a": i_a,
+        "b_b": b_b, "i_b": i_b, "b_ab": b_ab, "i_ab": i_ab, "main": main,
+        "strong": "true" if tr_ab >= 2 * (tr_a + tr_b) else "false",
+        "ib": "true" if ib else "false", "boundary_form": _fmt_opt(form),
+        "case": case, "extremal": _fmt_opt(extremal),
+    }
+    return {k: str(v) for k, v in values.items()}
+
+
+def test_every_3x3_record_recomputed_independently(sweep3):
+    t0 = time.perf_counter()
+    counts = {}
+
+    def count(points: list):
+        key = tuple(points)
+        if key not in counts:
+            b = boundary_count(points)
+            counts[key] = b, len(points) - b
+        return counts[key]
+
+    mismatches = []
+    extremal = 0
+    for line in sweep3.lines:
+        kv = dict(tok.split("=", 1) for tok in line.split())
+        a, b = ([tuple(map(int, p.split(","))) for p in kv[k].split(";")]
+                for k in ("a", "b"))
+        want = _recomputed_fields(a, b, count)
+        if {k: kv.get(k) for k in want} != want:
+            mismatches.append(line)
+        extremal += want["extremal"] == "holds"
+    elapsed = time.perf_counter() - t0
+    print(f"{len(sweep3.lines)} records recomputed, {len(mismatches)} mismatches, "
+          f"{extremal} extremal, {elapsed:.1f}s (< 15 s)")
+    assert mismatches == []
+    assert len(sweep3.lines) == 73536 and extremal > 0
+    assert elapsed < 15.0
 
 
 def test_criterion_7_boundary_only_classification():

@@ -498,16 +498,18 @@ class TestRunShard:
         cfg = replace(ref_cfg, report_path=str(tmp_path / "crash.txt"),
                       checkpoint_path=None).normalized()
         monkeypatch.setattr(search_mod, "_CHECKPOINT_EVERY", checkpoint_every)
-        real = conjecture_mod.Pair.report
+        # the sum runs once per pair that passes the per-set filters, unlike
+        # Pair.report, which runs once per distinct record body
+        real = search_mod.sum_decomposition
         calls = {"n": 0}
 
-        def flaky(pair):
+        def flaky(*args):
             calls["n"] += 1
             if calls["n"] > crash_after:
                 raise RuntimeError("injected crash")
-            return real(pair)
+            return real(*args)
 
-        monkeypatch.setattr(conjecture_mod.Pair, "report", flaky)
+        monkeypatch.setattr(search_mod, "sum_decomposition", flaky)
         with pytest.raises(RuntimeError):
             run_shard(cfg, 0)
 
@@ -518,7 +520,7 @@ class TestRunShard:
         assert 0 < state["visited"] < cfg.count
         assert state["records"] <= state["visited"]
 
-        monkeypatch.setattr(conjecture_mod.Pair, "report", real)
+        monkeypatch.setattr(search_mod, "sum_decomposition", real)
         assert run_shard(cfg, 0) == ref_tally
         with open(records_path) as fh:
             assert fh.read() == ref_bytes
@@ -739,16 +741,19 @@ class TestRunSearch:
         assert (ref.verdicts, ref.fails, ref.check_failures) == (
             parsed.verdicts, parsed.fails, parsed.check_failures)
 
+        # crash at a pair's sum, which every pair needs, not at its report,
+        # which runs only for a record body the shard has not seen
+        real_sum = search_mod.sum_decomposition
         calls = {"n": 0}
 
         def crashing(*args):
             calls["n"] += 1
             if calls["n"] > 80:
                 raise RuntimeError("injected crash")
-            return forced(*args)
+            return real_sum(*args)
 
         cfg = replace(ref_cfg, report_path=str(tmp_path / "crash.txt"))
-        monkeypatch.setattr(conjecture_mod.Pair, "report", crashing)
+        monkeypatch.setattr(search_mod, "sum_decomposition", crashing)
         with pytest.raises(RuntimeError):
             run_search(cfg)
         states = []
@@ -757,7 +762,7 @@ class TestRunSearch:
             with open(state_path) as fh:
                 states.append(json.load(fh)["complete"])
         assert states == [True, False]
-        monkeypatch.setattr(conjecture_mod.Pair, "report", forced)
+        monkeypatch.setattr(search_mod, "sum_decomposition", real_sum)
         resumed = run_search(cfg)
         assert (replace(resumed, elapsed=0.0, report_path="")
                 == replace(ref, elapsed=0.0, report_path=""))
@@ -765,16 +770,21 @@ class TestRunSearch:
 
 
 def _reference_report(cfg: SearchConfig) -> bytes:
-    """A random-mode report rebuilt draw by draw from ``random_point_set``,
-    ``_reference_canonical``, ``classify_points`` and ``check_pair``, with
-    every filter decided on the canonical forms."""
+    """A report rebuilt pair by pair, with no memo of any kind: the sets from
+    ``_reference_enumeration``, or drawn by ``random_point_set`` and put in
+    ``_reference_canonical`` form, every filter decided on the canonical
+    forms, and each line from a fresh ``Pair``'s report and checks."""
     cfg = cfg.normalized()
-    rng = random.Random(cfg.seed)
-    lines = []
-    for _ in range(cfg.count):
-        a, b = (_reference_canonical(random_point_set(
+    if cfg.mode == "exhaustive":
+        pairs = itertools.combinations_with_replacement(sorted(_reference_enumeration(
+            cfg.grid_w, cfg.grid_h, cfg.min_pts, cfg.max_pts, cfg.symmetry)), 2)
+    else:
+        rng = random.Random(cfg.seed)
+        pairs = ([_reference_canonical(random_point_set(
             rng, cfg.grid_w, cfg.grid_h, cfg.min_pts, cfg.max_pts), cfg.symmetry)
-            for _ in range(2))
+            for _ in range(2)] for _ in range(cfg.count))
+    lines = []
+    for a, b in pairs:
         if b < a:
             a, b = b, a
         i_a, i_b = classify_points(a).i, classify_points(b).i
@@ -784,9 +794,56 @@ def _reference_report(cfg: SearchConfig) -> bytes:
             continue
         if "unique-rep" in cfg.filters and not unique_representation(a, b):
             continue
+        pair = conjecture_mod.Pair(a, b)
+        checks = {name: outcome(pair) if applies(pair) else None
+                  for name, (applies, outcome) in conjecture_mod.CHECKS.items()
+                  if name in cfg.checks}
         lines.append(SearchRecord(a_id=serialize_set_id(a), b_id=serialize_set_id(b),
-                                  report=check_pair(a, b), checks={}, walltime=0.0).line())
+                                  report=pair.report(), checks=checks).line())
     return "".join(line + "\n" for line in sorted(lines)).encode()
+
+
+class TestBodyMemo:
+    """Each shard spells a record body once per distinct key; the reports
+    must not show it."""
+
+    def test_exhaustive_report_equals_pair_by_pair_reference(self, tmp_path):
+        cfg = SearchConfig(grid_w=3, grid_h=3, max_pts=5, checks=search_mod.CHECK_NAMES,
+                           report_path=str(tmp_path / "r.txt"))
+        summary = run_search(cfg)
+        assert summary.pairs == 32640
+        assert _read(summary.report_path) == _reference_report(cfg)
+
+    def test_a_false_check_is_never_masked(self, tmp_path, monkeypatch):
+        cfg = SearchConfig(grid_w=3, grid_h=3, max_pts=4, checks=search_mod.CHECK_NAMES,
+                           report_path=str(tmp_path / "clean.txt")).normalized()
+        run_shard(cfg, 0)
+        with open(search_mod._shard_paths(cfg, 0)[0]) as fh:
+            clean = fh.read().splitlines()
+        # the first pair whose body an earlier pair of the shard already has
+        seen = set()
+        for target, line in enumerate(clean):
+            ids, body = line.split(" tr_a=", 1)
+            if body in seen:
+                break
+            seen.add(body)
+        else:
+            pytest.fail("no two pairs of the shard share a record body")
+        assert " freiman=true " in clean[target]
+        ids = tuple(tok.split("=", 1)[1] for tok in ids.split())
+
+        applies, outcome = conjecture_mod.CHECKS["freiman"]
+        monkeypatch.setitem(conjecture_mod.CHECKS, "freiman", (applies, lambda p: (
+            serialize_set_id(p.a), serialize_set_id(p.b)) != ids and outcome(p)))
+        mutated = replace(cfg, report_path=str(tmp_path / "mutated.txt"),
+                          checkpoint_path=None).normalized()
+        tally = run_shard(mutated, 0)
+        with open(search_mod._shard_paths(mutated, 0)[0]) as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == len(clean)
+        assert [k for k, (x, y) in enumerate(zip(clean, lines)) if x != y] == [target]
+        assert lines[target] == clean[target].replace(" freiman=true ", " freiman=false ")
+        assert tally.check_failures == tally.flagged == [lines[target]]
 
 
 class TestRandomFastPath:
@@ -794,11 +851,12 @@ class TestRandomFastPath:
                                          ("boundary-only", "unique-rep")])
     @pytest.mark.parametrize("symmetry", search_mod.SYMMETRIES)
     @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("checks", [(), search_mod.CHECK_NAMES])
     def test_report_equals_draw_by_draw_reference(self, tmp_path, inline_pool, filters,
-                                                  symmetry, workers):
+                                                  symmetry, workers, checks):
         cfg = SearchConfig(grid_w=4, grid_h=4, mode="random", seed=23, count=200,
                            max_pts=5, filters=filters, symmetry=symmetry, workers=workers,
-                           report_path=str(tmp_path / "r.txt"))
+                           checks=checks, report_path=str(tmp_path / "r.txt"))
         summary = run_search(cfg)
         assert summary.pairs > 0
         assert _read(summary.report_path) == _reference_report(cfg)
