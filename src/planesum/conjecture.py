@@ -29,14 +29,17 @@ bug or a genuine counterexample and either way demands attention:
   progressions in every direction where both have two or more points.
   Those are the hull edge normals that A and B share, since a support set
   with two points is a hull edge, so the check compares the summands'
-  per-set edge tables on shared normals and never walks A + B.
+  per-set ``edge_normals`` and ``edge_progressions`` and never walks A + B.
 * ``check_unique_rep_bound``: with unique representation,
   tr(A+B) >= |B| tr(A) + tr(B), larger-tr set in the role of A.
 * ``check_interior_bounds``: with interior points on both sides,
   i_{A+B} >= i_A + |B| - 1 and symmetrically.
 * ``check_arc_structure``: arc bookkeeping for boundary-only pairs under a
   generic direction, including the forced shape when the boundary form
-  fails.
+  fails. Each summand memoises per direction one tuple of ints for v and
+  one for -v (``HullDecomposition.arc_facts``), and the rules of one
+  role/direction configuration are written once on those tuples, for the
+  report and for the sweep's ``arcs`` check alike.
 * ``check_extremal_classification``: the boundary form fails only for the
   pairs {|A| = 3 and B a translate of A + A}, up to swapping roles.
 
@@ -57,13 +60,11 @@ from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import DegeneratePolygon, PreconditionViolated
 from .geometry import (
-    ArcDecomposition,
     Coords,
     Direction,
     HullDecomposition,
     Point,
     PointSet,
-    _collinear,
     _cones_meet,
     classify_points,
     convex_hull,
@@ -136,7 +137,7 @@ class Pair:
         self.dab = dab = sum_decomposition(da, db) if dab is None else dab
         self._tr: Optional[Tuple[int, int, int]] = None
         # every point of A + B has exactly one representation
-        self.unique = dab.size == len(a) * len(b)
+        self.unique = dab.size == da.size * db.size
         self.boundary_only = da.i == 0 and db.i == 0
 
     @property
@@ -186,8 +187,8 @@ class Pair:
         if self.boundary_form is not False:
             return None
         a, b = self.a, self.b
-        return ((len(a) == 3 and is_translate_of(b, minkowski_sum(a, a)))
-                or (len(b) == 3 and is_translate_of(a, minkowski_sum(b, b))))
+        return ((self.da.size == 3 and is_translate_of(b, minkowski_sum(a, a)))
+                or (self.db.size == 3 and is_translate_of(a, minkowski_sum(b, b))))
 
     def report(self) -> "ConjectureReport":
         """Every count and verdict of the pair, as ``check_pair`` gives it."""
@@ -318,20 +319,22 @@ def check_boundary_superadditivity(
     same-difference progressions. A support set of a finite set is a face
     of its hull, so it has two or more points exactly when u is the outward
     normal of a hull edge of that set. The condition therefore ranges over
-    the edge normals that A and B share, and it compares the two sets'
-    ``edge_steps`` there; A + B enters only through b_{A+B}.
+    the edge normals that A and B share, and it holds exactly when the two
+    sets share as many ``edge_progressions`` as ``edge_normals``; A + B
+    enters only through b_{A+B}.
     """
     return _boundary_counts(_pair_for("boundary_counts", a, b, decomp_a, decomp_b,
                                       decomp_ab))
 
 
 def _boundary_counts(p: Pair) -> BoundaryCountResult:
-    b_sum, b_ab = p.da.b + p.db.b, p.dab.b
-    steps_b = p.db.edge_steps
-    ap = all(step is not None and step == steps_b[u]
-             for u, step in p.da.edge_steps.items() if u in steps_b)
-    return BoundaryCountResult(holds=b_ab >= b_sum, equality=b_ab == b_sum,
-                               ap_condition=ap)
+    da, db = p.da, p.db
+    b_sum, b_ab = da.b + db.b, p.dab.b
+    # each shared normal is one shared progression exactly when both sets'
+    # points on it step alike
+    ap = (len(da.edge_progressions & db.edge_progressions)
+          == len(da.edge_normals & db.edge_normals))
+    return BoundaryCountResult(b_ab >= b_sum, b_ab == b_sum, ap)
 
 
 def check_unique_rep_bound(a: PointSet, b: PointSet,
@@ -348,7 +351,7 @@ def check_unique_rep_bound(a: PointSet, b: PointSet,
 
 def _unique_rep(p: Pair) -> bool:
     tr_a, tr_b, tr_ab = p.tr
-    big_other = len(p.b) if tr_a >= tr_b else len(p.a)
+    big_other = p.db.size if tr_a >= tr_b else p.da.size
     return (tr_ab >= big_other * max(tr_a, tr_b) + min(tr_a, tr_b)
             and p.main is not Verdict.FAILS)
 
@@ -367,7 +370,7 @@ def check_interior_bounds(a: PointSet, b: PointSet,
 
 def _interior(p: Pair) -> bool:
     da, db, dab = p.da, p.db, p.dab
-    ok = dab.i >= da.i + len(p.b) - 1 and dab.i >= db.i + len(p.a) - 1
+    ok = dab.i >= da.i + db.size - 1 and dab.i >= db.i + da.size - 1
     if ok and p.one_interior_each:
         ok = p.count_form
     return ok
@@ -391,11 +394,7 @@ class ArcBoundCheck:
 
     @property
     def ok(self) -> bool:
-        if not self.bound_ok:
-            return False
-        if self.equality:
-            return bool(self.low_flat_ok) and bool(self.parallel_ok)
-        return True
+        return _bound_ok(self.bound_ok, self.equality, self.low_flat_ok, self.parallel_ok)
 
 
 @dataclass(frozen=True)
@@ -449,85 +448,96 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
     bound with its equality consequences; and when the boundary form fails,
     some configuration among (A,B,v), (A,B,-v), (B,A,v), (B,A,-v) exhibits
     the forced failure shape (first match reported).
+
+    Each configuration is read from the two summands' ``arc_facts``, the
+    integers each set memoises per direction for v and -v. The rules of one
+    configuration, the bound (``_bound_facts``, ``_bound_ok``) and the
+    failure shape (``_shape_holds``), are written once, and the sweep's
+    ``arcs`` check applies the same ones without building this report.
     """
     return _arcs(_pair_for("arcs", a, b, decomp_a, decomp_b, decomp_ab), v)
 
 
-def _low_arc_flat(arc: ArcDecomposition) -> bool:
-    """Whether the lower arc lies on the segment [l, r]: l and r are the
-    set's unique extremes across v, so a point on their line lies between."""
-    return _collinear((arc.l, arc.r, *arc.low))
+def _configurations(da: HullDecomposition, db: HullDecomposition, v: Direction) -> tuple:
+    """(swapped, flipped, arc facts of X, arc facts of Y, b_X, b_Y) for the
+    configurations (A,B,v), (A,B,-v), (B,A,v), (B,A,-v), in that order."""
+    fa, ba = da.arc_facts(v)
+    fb, bb = db.arc_facts(v)
+    b_a, b_b = da.b, db.b
+    return ((False, False, fa, fb, b_a, b_b), (False, True, ba, bb, b_a, b_b),
+            (True, False, fb, fa, b_b, b_a), (True, True, bb, ba, b_b, b_a))
 
 
-def _extreme_segments_parallel(arc_x: ArcDecomposition, arc_y: ArcDecomposition) -> bool:
-    """Whether the segments [l, r] of the two arc splits are parallel."""
-    seg_x = arc_x.r - arc_x.l
-    seg_y = arc_y.r - arc_y.l
-    return seg_x[0] * seg_y[1] - seg_x[1] * seg_y[0] == 0
+def _arcs_nonempty(x: tuple, y: tuple) -> bool:
+    """Whether the upper and lower arcs of X and Y are all nonempty."""
+    return all((x[0], x[1], y[0], y[1]))
+
+
+def _segments_parallel(x: tuple, y: tuple) -> bool:
+    """Whether the segments [l, r] of X and Y are parallel."""
+    return x[3] * y[4] == x[4] * y[3]
+
+
+def _bound_facts(x: tuple, y: tuple, i_ab: int) -> tuple:
+    """The empty-lower-arc bound in a configuration whose X has an empty
+    lower arc, from the arc facts x and y: (i_{A+B} >= |Y_upp| - 2, whether
+    that is an equality, and at equality whether Y's lower arc is flat and
+    whether the segments [l, r] are parallel, else None for both)."""
+    gap = i_ab - y[0] + 2
+    if gap:
+        return gap > 0, False, None, None
+    return True, True, y[2], _segments_parallel(x, y)
+
+
+def _bound_ok(bound_ok: bool, equality: bool, low_flat_ok: Optional[bool],
+              parallel_ok: Optional[bool]) -> bool:
+    """Whether ``_bound_facts`` show the bound and its equality consequences."""
+    return bound_ok and (not equality or bool(low_flat_ok and parallel_ok))
+
+
+def _shape_holds(x: tuple, y: tuple, b_x: int, b_y: int) -> bool:
+    """The forced shape of a boundary-form failure in one configuration: X's
+    lower arc empty, Y's lower arc flat, the segments [l, r] parallel, and
+    either Y's lower arc empty with b_Y = b_X or |Y_upp| = |X_upp| + |Y_low|
+    + 1 with b_Y > b_X."""
+    return (not x[1] and y[2] and _segments_parallel(x, y)
+            and ((not y[1] and b_y == b_x) or (y[0] == x[0] + y[1] + 1 and b_y > b_x)))
 
 
 def _arcs(p: Pair, v: Optional[Direction] = None) -> StructureReport:
-    da, db, dab = p.da, p.db, p.dab
     if v is None:
-        v = generic_direction(da, db)
-    i_ab = dab.i
-
-    neg_v = -v
-    arcs = {
-        (False, False): (da.arc(v), db.arc(v)),
-        (False, True): (da.arc(neg_v), db.arc(neg_v)),
-    }
-    arcs[(True, False)] = (arcs[(False, False)][1], arcs[(False, False)][0])
-    arcs[(True, True)] = (arcs[(False, True)][1], arcs[(False, True)][0])
-
+        v = generic_direction(p.da, p.db)
+    configs = _configurations(p.da, p.db, v)
     eq_form = p.boundary_form
-
-    arc_a, arc_b = arcs[(False, False)]
-    all_nonempty = all(len(s) for s in (arc_a.upp, arc_a.low, arc_b.upp, arc_b.low))
-    nonempty_ok = eq_form if all_nonempty else True
-
-    bound_checks = []
-    for swapped in (False, True):
-        for flipped in (False, True):
-            arc_x, arc_y = arcs[(swapped, flipped)]
-            if len(arc_x.low):
-                continue
-            bound_ok = i_ab >= len(arc_y.upp) - 2
-            equality = i_ab == len(arc_y.upp) - 2
-            flat = parallel = None
-            if equality:
-                flat = _low_arc_flat(arc_y)
-                parallel = _extreme_segments_parallel(arc_x, arc_y)
-            bound_checks.append(ArcBoundCheck(
-                swapped=swapped, flipped=flipped, bound_ok=bound_ok,
-                equality=equality, low_flat_ok=flat, parallel_ok=parallel,
-            ))
-
-    shape: Optional[FailureShape] = None
+    i_ab = p.dab.i
+    all_nonempty = _arcs_nonempty(configs[0][2], configs[0][3])
+    bounds = tuple([ArcBoundCheck(swapped, flipped, *_bound_facts(x, y, i_ab))
+                    for swapped, flipped, x, y, _, _ in configs if not x[1]])
+    shape = None
     if not eq_form:
-        bx, by = da.b, db.b
-        for swapped, flipped in ((False, False), (False, True), (True, False), (True, True)):
-            arc_x, arc_y = arcs[(swapped, flipped)]
-            b_x, b_y = (by, bx) if swapped else (bx, by)
-            size_rel = (
-                (not len(arc_y.low) and b_y == b_x)
-                or (len(arc_y.upp) == len(arc_x.upp) + len(arc_y.low) + 1 and b_y > b_x)
-            )
-            cand = FailureShape(
-                swapped=swapped, flipped=flipped, x_low_empty=not len(arc_x.low),
-                y_low_flat=_low_arc_flat(arc_y),
-                segments_parallel=_extreme_segments_parallel(arc_x, arc_y),
-                size_relation=size_rel,
-            )
-            if cand.ok:
-                shape = cand
-                break
-
+        # a match has every field of the shape true
+        shape = next((FailureShape(swapped, flipped, True, True, True, True)
+                      for swapped, flipped, x, y, b_x, b_y in configs
+                      if _shape_holds(x, y, b_x, b_y)), None)
     return StructureReport(
         v=v, eq_boundary_form=eq_form, all_arcs_nonempty=all_nonempty,
-        nonempty_arcs_imply_form=nonempty_ok, arc_bounds=tuple(bound_checks),
+        nonempty_arcs_imply_form=eq_form if all_nonempty else True, arc_bounds=bounds,
         failure_shape=shape,
     )
+
+
+def _arcs_ok(p: Pair) -> bool:
+    """``_arcs(p).ok``, from the same rules, stopping at the first false."""
+    configs = _configurations(p.da, p.db, generic_direction(p.da, p.db))
+    eq_form = p.boundary_form
+    if not eq_form and _arcs_nonempty(configs[0][2], configs[0][3]):
+        return False
+    i_ab = p.dab.i
+    for _, _, x, y, _, _ in configs:
+        if not x[1] and not _bound_ok(*_bound_facts(x, y, i_ab)):
+            return False
+    return eq_form or any(_shape_holds(x, y, b_x, b_y)
+                          for _, _, x, y, b_x, b_y in configs)
 
 
 def check_extremal_classification(a: PointSet, b: PointSet,
@@ -551,12 +561,12 @@ def _always(p: Pair) -> bool:
 # pair, outcome for the pair). A sweep records a check that does not apply
 # as a skip; its public checker raises PreconditionViolated there.
 CHECKS: Dict[str, Tuple[Callable[[Pair], bool], Callable[[Pair], bool]]] = {
-    "freiman": (_always, lambda p: p.dab.size >= len(p.a) + len(p.b) - 1),
+    "freiman": (_always, lambda p: p.dab.size >= p.da.size + p.db.size - 1),
     "sum_boundary": (_always, _sum_boundary),
     "boundary_counts": (_always, lambda p: _boundary_counts(p).ok),
     "unique_rep": (lambda p: p.unique, _unique_rep),
     "interior": (lambda p: p.da.i >= 1 and p.db.i >= 1, _interior),
-    "arcs": (lambda p: p.boundary_only, lambda p: _arcs(p).ok),
+    "arcs": (lambda p: p.boundary_only, _arcs_ok),
     "classification": (lambda p: p.boundary_only, _classification),
 }
 

@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CollinearInput, DirectionNotGeneric
 
@@ -214,10 +214,12 @@ class HullDecomposition:
     hull_vertices: tuple
     cycle: tuple
 
-    @property
+    @cached_property
     def size(self) -> int:
-        """|S|, read as ``SumDecomposition.size`` is read for a sum."""
-        return len(self.points)
+        """|S|, read as ``SumDecomposition.size`` is read for a sum: an int
+        in the instance dict after the first read, where ``len(points)``
+        would call ``PointSet.__len__`` on every pair."""
+        return len(self.points.points)
 
     @cached_property
     def b(self) -> int:
@@ -225,7 +227,7 @@ class HullDecomposition:
 
     @cached_property
     def i(self) -> int:
-        return len(self.points) - len(self.cycle)
+        return self.size - len(self.cycle)
 
     @cached_property
     def boundary(self) -> PointSet:
@@ -320,10 +322,29 @@ class HullDecomposition:
                 for run, (half, sx, sy, _) in zip(self.edge_runs, self.edge_table)}
 
     @cached_property
+    def edge_normals(self) -> frozenset:
+        """The outward normals of the hull edges: the keys of ``edge_steps``."""
+        return frozenset(self.edge_steps)
+
+    @cached_property
+    def edge_progressions(self) -> frozenset:
+        """(normal, step) for each hull edge whose points are a progression:
+        the items of ``edge_steps`` whose step is not None. A set has one
+        edge per normal, so two sets share as many of these pairs as they
+        share normals exactly when every shared normal has one common step
+        on both sides."""
+        return frozenset([(u, step) for u, step in self.edge_steps.items()
+                          if step is not None])
+
+    @cached_property
     def _arcs(self) -> dict:
         return {}
 
-    # the memo is keyed by (dx, dy): tuples hash in C, Directions do not
+    @cached_property
+    def _arc_facts(self) -> dict:
+        return {}
+
+    # both memos are keyed by (dx, dy): tuples hash in C, Directions do not
 
     def arc(self, v: Direction) -> "ArcDecomposition":
         """``arc_decomposition(self, v)``, memoised per direction."""
@@ -332,6 +353,24 @@ class HullDecomposition:
         if arc is None:
             arc = self._arcs[key] = arc_decomposition(self, v)
         return arc
+
+    def arc_facts(self, v: Direction) -> Tuple[tuple, tuple]:
+        """The integers the arc checks read off ``arc(v)`` and ``arc(-v)``,
+        memoised per direction: for each of the two splits, (|upp|, |low|,
+        whether ``low`` lies on the segment [l, r], and the two components
+        of r - l). l and r are the unique extremes across v, so a point on
+        their line lies between them. Both tuples come from ``arc(v)``,
+        since negating v swaps l with r and ``upp`` with ``low``."""
+        key = (v.dx, v.dy)
+        facts = self._arc_facts.get(key)
+        if facts is None:
+            arc = self.arc(v)
+            l, r, upp, low = arc.l, arc.r, arc.upp, arc.low
+            sx, sy = r.x - l.x, r.y - l.y
+            facts = self._arc_facts[key] = (
+                (len(upp), len(low), _collinear((l, r, *low)), sx, sy),
+                (len(low), len(upp), _collinear((r, l, *upp)), -sx, -sy))
+        return facts
 
     # Grid tables, memoised per field layout (h, w): the column height and
     # the field width of a sum's packed grid (see ``sumset``). A sweep meets
@@ -377,12 +416,26 @@ def _box(pts: Sequence[Coords]) -> tuple:
 
 def _pack(pts: Iterable[Coords], box: tuple, h: int, w: int) -> int:
     """An int with a 1 at bit w k for each point's cell k = (x - x0) h +
-    (y - y0), where (x0, y0) are the first two entries of ``box``."""
-    x0, y0 = box[0], box[1]
+    (y - y0), where (x0, y0) are the first two entries of ``box``.
+
+    Points whose cells follow one another, as a column of a lattice-saturated
+    set does in lexicographic order, form a run of r cells, set at once with
+    the mask of r ones spaced w bits apart: one grid-sized int per run where
+    a bit per point would cost one per point. The points may come in any
+    order and repeat; runs then overlap or split, and the OR is the same.
+    """
+    field = (1 << w) - 1
+    base = box[0] * h + box[1]
     bits = 0
+    # the run is the cells [start, end); it starts empty at cell 0
+    start = end = base
     for x, y in pts:
-        bits |= 1 << w * ((x - x0) * h + y - y0)
-    return bits
+        k = x * h + y
+        if k != end:
+            bits |= ((1 << w * (end - start)) - 1) // field << w * (start - base)
+            start = k
+        end = k + 1
+    return bits | ((1 << w * (end - start)) - 1) // field << w * (start - base)
 
 
 def _cones_meet(ca: tuple, cb: tuple) -> bool:

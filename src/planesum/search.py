@@ -294,7 +294,8 @@ def record_body(report: ConjectureReport, checks: Dict[str, Optional[bool]]) -> 
     return f" {' '.join(report.lines())}{tail}"
 
 
-def serialize_set_id(s: PointSet) -> str:
+def serialize_set_id(s: Iterable[Point]) -> str:
+    """The record id of a set, from a ``PointSet`` or its ``points``."""
     return ";".join(f"{p.x},{p.y}" for p in s)
 
 
@@ -424,9 +425,10 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
     one ``walks`` memo of hull walks that every pair's
     ``sum_decomposition`` reads. Record bodies are memoised for the shard
     too: every selected check runs on every pair, and the pair's six counts,
-    ``unique``, ``extremal`` and the tuple of check outcomes key the text
-    after ``a=… b=…`` together with the main and case texts and whether a
-    check is false. ``Pair.report`` and ``record_body`` run only for a key
+    ``extremal`` and the tuple of check outcomes key the text after
+    ``a=… b=…`` together with the main and case texts and whether a check
+    is false. The counts fix ``unique``: |A+B| = |A||B| reads
+    b_ab + i_ab = (b_a + i_a)(b_b + i_b). ``Pair.report`` and ``record_body`` run only for a key
     the shard has not seen, so each distinct body is spelled once per shard;
     since the outcomes are in the key, a reused body never carries another
     pair's verdict. All of it is dropped when the call returns.
@@ -483,16 +485,17 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
             visited += 1
             da = summand(sa)
             if da is not None and (db := summand(sb)) is not None:
-                if db.points < da.points:
-                    da, db = db, da
                 a, b = da.points, db.points
+                # order and id the sets by their points tuples, which compare
+                # and hash in C, where a PointSet calls its Python dunders
+                if b.points < a.points:
+                    da, db, a, b = db, da, b, a
                 dab = sum_decomposition(da, db, walks)
                 pair = Pair(a, b, da, db, dab)
                 if not unique_only or pair.unique:
                     outcomes = tuple([outcome(pair) if applies(pair) else None
                                       for applies, outcome in checks_run])
-                    key = (da.b, da.i, db.b, db.i, dab.b, dab.i, pair.unique,
-                           pair.extremal, outcomes)
+                    key = (da.b, da.i, db.b, db.i, dab.b, dab.i, pair.extremal, outcomes)
                     memo = bodies.get(key)
                     if memo is None:
                         report = pair.report()
@@ -500,7 +503,7 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
                             record_body(report, dict(zip(cfg.checks, outcomes))),
                             report.main.text, report.case.text, False in outcomes)
                     body, main, case, check_failed = memo
-                    line = f"a={set_id(a)} b={set_id(b)}{body}"
+                    line = f"a={set_id(a.points)} b={set_id(b.points)}{body}"
                     out.write(line + "\n")
                     tally.add(line, main, case, check_failed)
             if visited % _CHECKPOINT_EVERY == 0:

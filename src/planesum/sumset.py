@@ -158,7 +158,7 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition,
     B, field width). Without it each call walks the hull afresh; the
     result is the same.
     """
-    na, nb = len(da.points), len(db.points)
+    na, nb = da.size, db.size
     w = min(na, nb).bit_length() + 1
     max_bits = _BITS_PER_PRODUCT * na * nb
     key = (da.edge_table, db.edge_table, w)

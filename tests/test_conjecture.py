@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lattice_sets import (
     full_column_sets,
     is_ap_same_difference,
+    orientation,
     saturated_sets,
     sums_by_set,
     support_set,
@@ -20,6 +21,7 @@ from planesum import (
     PointSet,
     PreconditionViolated,
     Verdict,
+    arc_decomposition,
     check_arc_structure,
     check_boundary_superadditivity,
     check_extremal_classification,
@@ -30,12 +32,19 @@ from planesum import (
     classify_points,
     convex_hull,
     equality_family,
+    generic_direction,
     minkowski_sum,
     sqrt_triple_compare,
     sum_decomposition,
 )
-from planesum import sumset
-from planesum.conjecture import CHECKS, _sum_boundary
+from planesum import search, sumset
+from planesum.conjecture import (
+    CHECKS,
+    ArcBoundCheck,
+    FailureShape,
+    StructureReport,
+    _sum_boundary,
+)
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 TRI_DOUBLE = minkowski_sum(TRI, TRI)
@@ -401,6 +410,114 @@ class TestArcStructure:
     @settings(max_examples=100, deadline=None)
     def test_bookkeeping_on_boundary_only_pairs(self, a, b):
         assert check_arc_structure(a, b).ok
+
+
+def _low_arc_flat(arc):
+    return all(orientation(arc.l, arc.r, q) == 0 for q in arc.low)
+
+
+def _arc_facts_by_split(arc):
+    """The arc facts of one split, read off the ``ArcDecomposition``."""
+    return len(arc.upp), len(arc.low), _low_arc_flat(arc), arc.r.x - arc.l.x, arc.r.y - arc.l.y
+
+
+def _structure_by_arc_splits(p, v):
+    """The ``StructureReport`` of a boundary-only pair, decided on the four
+    ``ArcDecomposition``s of A and B under v and -v: the reference for the
+    per-set arc facts and the rules that read them."""
+    splits = {}
+    for flipped, u in ((False, v), (True, -v)):
+        arc_a, arc_b = arc_decomposition(p.da, u), arc_decomposition(p.db, u)
+        splits[False, flipped] = arc_a, arc_b, p.da.b, p.db.b
+        splits[True, flipped] = arc_b, arc_a, p.db.b, p.da.b
+    order = [(False, False), (False, True), (True, False), (True, True)]
+
+    def parallel(x, y):
+        return orientation((0, 0), x.r - x.l, y.r - y.l) == 0
+
+    i_ab, form = p.dab.i, p.boundary_form
+    x, y, _, _ = splits[False, False]
+    nonempty = all([x.upp, x.low, y.upp, y.low])
+    bounds = []
+    for key in order:
+        x, y, _, _ = splits[key]
+        if not x.low:
+            tight = i_ab == len(y.upp) - 2
+            bounds.append(ArcBoundCheck(*key, i_ab >= len(y.upp) - 2, tight,
+                                        _low_arc_flat(y) if tight else None,
+                                        parallel(x, y) if tight else None))
+    shape = None
+    for key in order if not form else ():
+        x, y, b_x, b_y = splits[key]
+        size_relation = ((not y.low and b_y == b_x)
+                         or (len(y.upp) == len(x.upp) + len(y.low) + 1 and b_y > b_x))
+        candidate = FailureShape(*key, not x.low, _low_arc_flat(y), parallel(x, y),
+                                 size_relation)
+        if candidate.ok:
+            shape = candidate
+            break
+    return StructureReport(v, form, nonempty, form if nonempty else True, tuple(bounds), shape)
+
+
+def _pairs_3x3():
+    """Every pair of the exhaustive 3x3 sweep, its sums found as the sweep
+    finds them."""
+    keys = sorted(search._class_keys(3, 3, 3, 9, "translation"))
+    ds = [classify_points(k) for k in keys]
+    walks = {}
+    for i, da in enumerate(ds):
+        for db in ds[i:]:
+            yield Pair(da.points, db.points, da, db, sum_decomposition(da, db, walks))
+
+
+class TestPerSetFacts:
+    """The sweep's ``boundary_counts`` and ``arcs`` checks read integers each
+    set memoises; they must decide as the public checkers and the arc splits
+    do."""
+
+    def test_boundary_counts_on_every_3x3_pair(self):
+        pairs = equalities = 0
+        for p in _pairs_3x3():
+            r = check_boundary_superadditivity(p.a, p.b, p.da, p.db, p.dab)
+            assert CHECKS["boundary_counts"][1](p) == r.ok, (p.a, p.b)
+            pairs += 1
+            equalities += r.equality
+        assert pairs == 73536 and equalities > 0
+
+    def test_arcs_on_every_boundary_only_3x3_pair(self):
+        applies, outcome = CHECKS["arcs"]
+        pairs = tight = shapes = 0
+        for p in _pairs_3x3():
+            if not applies(p):
+                continue
+            r = check_arc_structure(p.a, p.b, decomp_a=p.da, decomp_b=p.db, decomp_ab=p.dab)
+            assert outcome(p) == r.ok, (p.a, p.b)
+            assert r == _structure_by_arc_splits(p, generic_direction(p.da, p.db)), (p.a, p.b)
+            pairs += 1
+            tight += any(c.equality for c in r.arc_bounds)
+            shapes += r.failure_shape is not None
+        assert pairs == 31878 and tight > 0 and shapes > 0
+
+    @given(boundary_only, st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
+    @settings(max_examples=150, deadline=None)
+    def test_arc_facts_match_the_splits_under_v_and_minus_v(self, s, vector):
+        assume(vector != (0, 0))
+        d = classify_points(s)
+        v = Direction.of(*vector)
+        assume(all((q.x - p.x) * v.dy != (q.y - p.y) * v.dx
+                   for p, q in zip(d.hull_vertices, d.hull_vertices[1:] + d.hull_vertices[:1])))
+        assert d.arc_facts(v) == (_arc_facts_by_split(arc_decomposition(s, v)),
+                                  _arc_facts_by_split(arc_decomposition(s, -v)))
+
+    @given(boundary_only, boundary_only, st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+    @settings(max_examples=100, deadline=None)
+    def test_structure_matches_the_splits(self, a, b, vector):
+        # any generic direction, not only the one the check picks
+        assume(vector != (0, 0))
+        v = Direction.of(*vector)
+        p = Pair(a, b)
+        assume(all(dx * v.dy != dy * v.dx for d in (p.da, p.db) for _, dx, dy, _ in d.edge_table))
+        assert check_arc_structure(a, b, v) == _structure_by_arc_splits(p, v)
 
 
 class TestExtremalClassification:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lattice_sets import (
     full_column_sets,
+    pack_by_point,
     saturated_sets,
     sums_by_set,
     support_set,
@@ -33,7 +34,7 @@ from planesum import (
     separated_pair,
     sum_decomposition,
 )
-from planesum import sumset
+from planesum import geometry, sumset
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 
@@ -303,6 +304,21 @@ class TestPackedGrid:
                 b = _reflected(a, t)
                 assert sum(a0 + b0 == t for a0 in a for b0 in b) == n == min(len(a), len(b))
                 _assert_kernels_match_reference(a, b)
+
+    @given(st.one_of(st.lists(points, max_size=30), saturated_sets(max_span=12),
+                     full_column_sets()),
+           st.randoms(use_true_random=False), st.integers(0, 3), st.integers(0, 3),
+           st.integers(0, 4), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_pack_by_runs_matches_one_bit_per_point(self, pts, rnd, dx, dy, dh, w):
+        # any order with repeats, negative coordinates, and a corner and a
+        # column height that leave room around the points, as a sum's grid does
+        pts = pts + rnd.sample(pts, rnd.randint(0, len(pts)))
+        rnd.shuffle(pts)
+        x0, y0, _, y1 = geometry._box(pts) if pts else (0, 0, 0, 0)
+        box, h = (x0 - dx, y0 - dy), y1 - y0 + 1 + dy + dh
+        for order in (pts, sorted(pts)):
+            assert geometry._pack(order, box, h, w) == pack_by_point(order, box, h, w)
 
     def test_rule_packs_dense_sums_and_not_sparse_ones(self):
         rng = random.Random(1441)
