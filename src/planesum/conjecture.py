@@ -74,22 +74,13 @@ from .sumset import SumDecomposition, is_translate_of, minkowski_sum, sum_decomp
 from .triangulation import lattice_points_in_hull, tr_euler
 
 
-class _Text(enum.Enum):
-    """An enum whose members keep their value as the plain attribute
-    ``text`` too: a sweep writes it into every record, and ``value`` is a
-    descriptor call on each read."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-class Verdict(_Text):
+class Verdict(enum.Enum):
     STRICT_HOLDS = "StrictHolds"
     EQUALITY = "Equality"
     FAILS = "Fails"
 
 
-class Case(_Text):
+class Case(enum.Enum):
     UNIQUE_REPRESENTATION = "UniqueRepresentation"
     ONE_INTERIOR_EACH = "OneInteriorEach"
     BOUNDARY_ONLY = "BoundaryOnly"
@@ -230,10 +221,10 @@ class ConjectureReport:
             f"tr_a={self.tr_a} tr_b={self.tr_b} tr_ab={self.tr_ab}",
             f"b_a={self.b_a} i_a={self.i_a} b_b={self.b_b} i_b={self.i_b}"
             f" b_ab={self.b_ab} i_ab={self.i_ab}",
-            f"main={self.main.text}",
+            f"main={self.main.value}",
             f"strong={_fmt_bool(self.strong_holds)} ib={_fmt_bool(self.ib_holds)}",
             f"boundary_form={_fmt_opt(self.boundary_form_holds)}",
-            f"case={self.case.text} extremal={_fmt_opt(self.extremal)}",
+            f"case={self.case.value} extremal={_fmt_opt(self.extremal)}",
         )
 
 
@@ -399,19 +390,12 @@ class ArcBoundCheck:
 
 @dataclass(frozen=True)
 class FailureShape:
-    """First role/direction configuration explaining a boundary-form failure."""
+    """First role/direction configuration explaining a boundary-form
+    failure: X's lower arc empty, Y's lower arc flat, the segments [l, r]
+    parallel, and the size relation of ``_shape_holds`` all hold there."""
 
     swapped: bool
     flipped: bool
-    x_low_empty: bool
-    y_low_flat: bool
-    segments_parallel: bool
-    size_relation: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.x_low_empty and self.y_low_flat
-                and self.segments_parallel and self.size_relation)
 
 
 @dataclass(frozen=True)
@@ -427,13 +411,8 @@ class StructureReport:
 
     @property
     def ok(self) -> bool:
-        if not self.nonempty_arcs_imply_form:
-            return False
-        if not all(c.ok for c in self.arc_bounds):
-            return False
-        if not self.eq_boundary_form:
-            return self.failure_shape is not None and self.failure_shape.ok
-        return True
+        return (self.nonempty_arcs_imply_form and all(c.ok for c in self.arc_bounds)
+                and (self.eq_boundary_form or self.failure_shape is not None))
 
 
 def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
@@ -515,8 +494,7 @@ def _arcs(p: Pair, v: Optional[Direction] = None) -> StructureReport:
                     for swapped, flipped, x, y, _, _ in configs if not x[1]])
     shape = None
     if not eq_form:
-        # a match has every field of the shape true
-        shape = next((FailureShape(swapped, flipped, True, True, True, True)
+        shape = next((FailureShape(swapped, flipped)
                       for swapped, flipped, x, y, b_x, b_y in configs
                       if _shape_holds(x, y, b_x, b_y)), None)
     return StructureReport(

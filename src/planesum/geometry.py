@@ -337,34 +337,22 @@ class HullDecomposition:
                           if step is not None])
 
     @cached_property
-    def _arcs(self) -> dict:
-        return {}
-
-    @cached_property
     def _arc_facts(self) -> dict:
         return {}
 
-    # both memos are keyed by (dx, dy): tuples hash in C, Directions do not
-
-    def arc(self, v: Direction) -> "ArcDecomposition":
-        """``arc_decomposition(self, v)``, memoised per direction."""
-        key = (v.dx, v.dy)
-        arc = self._arcs.get(key)
-        if arc is None:
-            arc = self._arcs[key] = arc_decomposition(self, v)
-        return arc
-
     def arc_facts(self, v: Direction) -> Tuple[tuple, tuple]:
-        """The integers the arc checks read off ``arc(v)`` and ``arc(-v)``,
-        memoised per direction: for each of the two splits, (|upp|, |low|,
+        """The integers the arc checks read off the boundary's splits under
+        v and -v, memoised per direction (keyed by (dx, dy), which hashes in
+        C where a ``Direction`` does not): for each split, (|upp|, |low|,
         whether ``low`` lies on the segment [l, r], and the two components
         of r - l). l and r are the unique extremes across v, so a point on
-        their line lies between them. Both tuples come from ``arc(v)``,
-        since negating v swaps l with r and ``upp`` with ``low``."""
+        their line lies between them. Both tuples come from the one
+        ``arc_decomposition(self, v)``, since negating v swaps l with r and
+        ``upp`` with ``low``."""
         key = (v.dx, v.dy)
         facts = self._arc_facts.get(key)
         if facts is None:
-            arc = self.arc(v)
+            arc = arc_decomposition(self, v)
             l, r, upp, low = arc.l, arc.r, arc.upp, arc.low
             sx, sy = r.x - l.x, r.y - l.y
             facts = self._arc_facts[key] = (
@@ -416,26 +404,13 @@ def _box(pts: Sequence[Coords]) -> tuple:
 
 def _pack(pts: Iterable[Coords], box: tuple, h: int, w: int) -> int:
     """An int with a 1 at bit w k for each point's cell k = (x - x0) h +
-    (y - y0), where (x0, y0) are the first two entries of ``box``.
-
-    Points whose cells follow one another, as a column of a lattice-saturated
-    set does in lexicographic order, form a run of r cells, set at once with
-    the mask of r ones spaced w bits apart: one grid-sized int per run where
-    a bit per point would cost one per point. The points may come in any
-    order and repeat; runs then overlap or split, and the OR is the same.
-    """
-    field = (1 << w) - 1
+    (y - y0), where (x0, y0) are the first two entries of ``box``. The
+    points may come in any order and repeat."""
     base = box[0] * h + box[1]
     bits = 0
-    # the run is the cells [start, end); it starts empty at cell 0
-    start = end = base
     for x, y in pts:
-        k = x * h + y
-        if k != end:
-            bits |= ((1 << w * (end - start)) - 1) // field << w * (start - base)
-            start = k
-        end = k + 1
-    return bits | ((1 << w * (end - start)) - 1) // field << w * (start - base)
+        bits |= 1 << w * (x * h + y - base)
+    return bits
 
 
 def _cones_meet(ca: tuple, cb: tuple) -> bool:

@@ -395,7 +395,7 @@ def _state_fields_ok(state: dict) -> bool:
     return (isinstance(tally, dict)
             and tally.keys() == {f.name for f in fields(ReportTally)}
             and isinstance(tally["verdicts"], dict)
-            and tally["verdicts"].keys() == {v.text for v in Verdict}
+            and tally["verdicts"].keys() == {v.value for v in Verdict}
             and isinstance(tally["cases"], dict)
             # JSON object keys are strings already
             and all(map(_is_count, [*tally["verdicts"].values(), *tally["cases"].values()]))
@@ -501,7 +501,7 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
                         report = pair.report()
                         memo = bodies[key] = (
                             record_body(report, dict(zip(cfg.checks, outcomes))),
-                            report.main.text, report.case.text, False in outcomes)
+                            report.main.value, report.case.value, False in outcomes)
                     body, main, case, check_failed = memo
                     line = f"a={set_id(a.points)} b={set_id(b.points)}{body}"
                     out.write(line + "\n")
@@ -536,7 +536,7 @@ class SearchSummary:
         return not self.fails and not self.check_failures
 
 
-_FAILS = Verdict.FAILS.text
+_FAILS = Verdict.FAILS.value
 
 
 @dataclass
@@ -544,7 +544,7 @@ class ReportTally:
     """What a list of record lines adds up to."""
 
     verdicts: Dict[str, int] = field(
-        default_factory=lambda: {v.text: 0 for v in Verdict})
+        default_factory=lambda: {v.value: 0 for v in Verdict})
     cases: Dict[str, int] = field(default_factory=dict)
     fails: List[str] = field(default_factory=list)  # main=Fails
     check_failures: List[str] = field(default_factory=list)  # some named check false

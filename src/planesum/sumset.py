@@ -10,23 +10,24 @@ of A + B is interior. ``classify_points(minkowski_sum(a, b))`` decides the
 same split from scratch and is the reference the tests hold the kernel to.
 
 Both ``sum_decomposition`` and ``minkowski_sum`` find A + B as a packed
-grid where it is dense. Each summand becomes one int with a field of
+grid where it is dense, and ``_grid`` alone decides where that is and lays
+the grid out. Each summand becomes one int with a field of
 w = min(|A|, |B|).bit_length() + 1 bits per cell of the sum's bounding box,
 cells in column-major order; the product of the two ints counts every
 cell's representations a + b, which w bits hold without a carry, and one
 add, one shift and one mask leave one bit per cell of A + B. ``|A + B|`` is
 then a popcount, and column-major order is lexicographic order, so
-``minkowski_sum`` decodes the sums sorted. Where the grid would cost more
-than ``_BITS_PER_PRODUCT`` bits per product |A||B|, as for the far-apart
-sets of a separated pair, both keep a set of the |A||B| sums instead.
+``_decode`` reads the sums off sorted. Where the grid would cost more than
+``_BITS_PER_PRODUCT`` bits per product |A||B|, as for the far-apart sets
+of a separated pair, both keep a set of the |A||B| sums instead.
 
 On the grid the hull walk depends on the summands' hull shapes alone: the
 edge tables of A and B and the field width w fix the grid's column height,
 its cell count and the cell of every lattice point on the sum's hull,
-counted from the box corner. ``sum_decomposition`` keeps the walk as one
-mask of those cells, and a caller that sums many pairs passes a dict
-``walks`` in which each (edge table of A, edge table of B, w) is walked
-once. A pair then costs the product of the two summands' packed ints,
+counted from the box corner. A caller that sums many pairs passes a dict
+``walks`` to ``sum_decomposition``, in which each (edge table of A, edge
+table of B, w) keeps ``_grid``'s layout and the walk as one mask of those
+cells. A pair then costs the product of the two summands' packed ints,
 which ``HullDecomposition.packed`` memoises per set and layout, one AND
 and two popcounts.
 """
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, compress, count
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .geometry import HullDecomposition, Point, PointSet, _box, _pack
 
@@ -44,15 +45,18 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
     """All pairwise sums {p + q : p in a, q in b}."""
     if not len(a) or not len(b):
         raise ValueError("minkowski_sum needs nonempty sets")
-    grid = _grid_sum(a.points, b.points, _box(a.points), _box(b.points))
+    pa, pb = a.points, b.points
+    a_box, b_box = _box(pa), _box(pb)
+    grid = _grid(a_box, b_box, len(pa), len(pb))
     if grid is None:
-        # distinct sums as int tuples first: one Point per sum, not per
-        # product, made after the sort, which compares plain tuples faster
-        sums = {(px + qx, py + qy) for px, py in a.points for qx, qy in b.points}
-        return PointSet._sorted(map(Point._make, sorted(sums)))
-    bits, w, h, x0, y0 = grid
-    # column-major cell order is lexicographic order: no sort
-    return PointSet._sorted([Point(x0 + k // h, y0 + k % h) for k in _cells(bits, w)])
+        # one Point per distinct sum, not per product, made after the sort,
+        # which compares plain tuples faster
+        sums = sorted(_sums(pa, pb))
+    else:
+        h, w, _, ones, fill = grid
+        bits = (_pack(pa, a_box, h, w) * _pack(pb, b_box, h, w) + fill) >> w - 1 & ones
+        sums = _decode(bits, w, h, a_box, b_box)
+    return PointSet._sorted(map(Point._make, sums))
 
 
 # The packed grid costs a few bignum operations on its w * cells bits, the
@@ -68,32 +72,10 @@ _BITS_PER_PRODUCT = 16
 _ZERO = bytes.maketrans(b"0", b"\0")  # '0' to a false byte; '1' stays true
 
 
-def _cells(bits: int, w: int):
-    """The cells k with bit w k set, in increasing order: the binary string
-    read backwards in steps of w holds bit w k at k."""
-    return compress(count(), format(bits, "b")[::-w].encode().translate(_ZERO))
-
-
-def _layout(a_box: tuple, b_box: tuple) -> Tuple[int, int]:
-    """(h, cells): the column height and cell count of the grid of the
-    bounding box of A + B."""
-    ax0, ay0, ax1, ay1 = a_box
-    bx0, by0, bx1, by1 = b_box
-    h = ay1 - ay0 + by1 - by0 + 1
-    return h, (ax1 - ax0 + bx1 - bx0 + 1) * h
-
-
-def _fields(w: int, cells: int) -> Tuple[int, int]:
-    """(ones, fill): a 1 at the low bit of each of the w-bit fields of the
-    grid, and 2^(w-1) - 1 in each field."""
-    ones = ((1 << w * cells) - 1) // ((1 << w) - 1)
-    return ones, ones * ((1 << w - 1) - 1)
-
-
-def _grid_sum(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]],
-              a_box: tuple, b_box: tuple) -> Optional[tuple]:
-    """A + B as one int on the grid of its bounding box, or None when that
-    grid costs more than ``_BITS_PER_PRODUCT`` bits per product |A||B|.
+def _grid(a_box: tuple, b_box: tuple, na: int, nb: int) -> Optional[tuple]:
+    """(h, w, w cells, ones, fill) for the packed grid of the bounding box
+    of A + B, or None when that grid costs more than ``_BITS_PER_PRODUCT``
+    bits per product |A||B| and the sum is kept as a set.
 
     Cell (x, y) of the box is cell k = (x - x0) h + (y - y0), column-major
     with column height h, and owns the w bits from w k. A set packs to the
@@ -101,18 +83,35 @@ def _grid_sum(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]],
     two ints counts in each cell the representations a + b of that cell. A
     cell has at most min(|A|, |B|) of them, and w = min(|A|, |B|).bit_length()
     + 1 bits hold that count c with the top bit clear, so no field carries
-    into the next. Adding 2^(w-1) - 1 to every field sets its top bit exactly
-    when c >= 1; one shift and one mask keep that bit alone, at bit w k.
-    Returns (bits, w, h, x0, y0): bit w k of ``bits`` is set exactly when
-    cell k is in A + B.
+    into the next. ``fill`` adds 2^(w-1) - 1 to every field, which sets its
+    top bit exactly when c >= 1; one shift by w - 1 and an AND with
+    ``ones``, a 1 at the low bit of each field, keep that bit alone, at
+    bit w k.
     """
-    h, cells = _layout(a_box, b_box)
-    w = min(len(a), len(b)).bit_length() + 1
-    if w * cells > _BITS_PER_PRODUCT * len(a) * len(b):
+    ax0, ay0, ax1, ay1 = a_box
+    bx0, by0, bx1, by1 = b_box
+    h = ay1 - ay0 + by1 - by0 + 1
+    w = min(na, nb).bit_length() + 1
+    size = w * (ax1 - ax0 + bx1 - bx0 + 1) * h
+    if size > _BITS_PER_PRODUCT * na * nb:
         return None
-    ones, fill = _fields(w, cells)
-    bits = (_pack(a, a_box, h, w) * _pack(b, b_box, h, w) + fill) >> w - 1 & ones
-    return bits, w, h, a_box[0] + b_box[0], a_box[1] + b_box[1]
+    ones = ((1 << size) - 1) // ((1 << w) - 1)
+    return h, w, size, ones, ones * ((1 << w - 1) - 1)
+
+
+def _decode(bits: int, w: int, h: int, a_box: tuple, b_box: tuple,
+            ) -> Iterator[Tuple[int, int]]:
+    """The points (x, y) of the cells k with bit w k of ``bits`` set, in
+    increasing k, which is lexicographic order: the binary string read
+    backwards in steps of w holds bit w k at k."""
+    x0, y0 = a_box[0] + b_box[0], a_box[1] + b_box[1]
+    cells = compress(count(), format(bits, "b")[::-w].encode().translate(_ZERO))
+    return ((x0 + k // h, y0 + k % h) for k in cells)
+
+
+def _sums(a: Sequence[Tuple[int, int]], b: Sequence[Tuple[int, int]]) -> set:
+    """The set of the sums a + b, as plain int tuples."""
+    return {(ax + bx, ay + by) for ax, ay in a for bx, by in b}
 
 
 class SumDecomposition:
@@ -143,60 +142,46 @@ class SumDecomposition:
 
     @cached_property
     def boundary(self) -> frozenset:
-        bits, w, h = self.grid
         da, db = self._summands
-        x0, y0 = da.box[0] + db.box[0], da.box[1] + db.box[1]
-        return frozenset([(x0 + k // h, y0 + k % h) for k in _cells(bits, w)])
+        return frozenset(_decode(*self.grid, da.box, db.box))
 
 
 def sum_decomposition(da: HullDecomposition, db: HullDecomposition,
                       walks: Optional[dict] = None) -> SumDecomposition:
     """Boundary/interior split of A + B from the decompositions of A and B.
 
-    ``walks`` is a memo of hull walks that the caller owns and passes to
-    every call: one entry of a few ints per (edge table of A, edge table of
-    B, field width). Without it each call walks the hull afresh; the
-    result is the same.
+    ``walks`` is a memo that the caller owns and passes to every call: per
+    (edge table of A, edge table of B, field width), ``_grid``'s layout and
+    a mask with a 1 at bit w k for each lattice point k on the hull of
+    A + B, whether in A + B or not. Translating A or B translates the sum's
+    box and hull alike, so the two edge tables and w fix the entry. Without
+    a memo each call walks the hull afresh; the result is the same.
     """
     na, nb = da.size, db.size
-    w = min(na, nb).bit_length() + 1
-    max_bits = _BITS_PER_PRODUCT * na * nb
-    key = (da.edge_table, db.edge_table, w)
+    key = (da.edge_table, db.edge_table, min(na, nb).bit_length() + 1)
     walk = None if walks is None else walks.get(key)
-    if walk is None or walk[1] > max_bits:
-        walk = _grid_walk(da, db, w, max_bits)
-        if walk is None:
+    # pairs that share an entry differ in |A||B|, so a hit checks the rule
+    # again, and a pair too sparse for the entry takes the set path as
+    # ``_grid`` would send it there
+    if walk is None or walk[2] > _BITS_PER_PRODUCT * na * nb:
+        grid = _grid(da.box, db.box, na, nb)
+        if grid is None:
             return _set_sum(da, db)
+        h, w = grid[:2]
+        corner = da.box[0] + db.box[0], da.box[1] + db.box[1]
+        walk = (*grid, _pack(chain(*_hull_walk(da, db)), corner, h, w))
         if walks is not None:
             walks[key] = walk
-    h, _, ones, fill, hull = walk
+    h, w, _, ones, fill, hull = walk
     bits = (da.packed(h, w) * db.packed(h, w) + fill) >> w - 1 & ones
     boundary = bits & hull
     return SumDecomposition(bits.bit_count(), boundary.bit_count(), (boundary, w, h),
                             da, db)
 
 
-def _grid_walk(da: HullDecomposition, db: HullDecomposition, w: int,
-               max_bits: int) -> Optional[tuple]:
-    """(h, w cells, ones, fill, hull) for the w-bit grid of the bounding box
-    of A + B, or None when that grid has more than ``max_bits`` bits.
-
-    ``hull`` has a 1 at bit w k for each lattice point k on the hull of
-    A + B, whether in A + B or not; h and the rest are as ``_layout`` and
-    ``_fields`` give them. Every entry is fixed by the two edge tables and
-    w, since translating A or B translates the sum's box and hull alike.
-    """
-    h, cells = _layout(da.box, db.box)
-    if w * cells > max_bits:
-        return None
-    ones, fill = _fields(w, cells)
-    corner = da.box[0] + db.box[0], da.box[1] + db.box[1]
-    return h, w * cells, ones, fill, _pack(chain(*_hull_walk(da, db)), corner, h, w)
-
-
 def _set_sum(da: HullDecomposition, db: HullDecomposition) -> SumDecomposition:
     """``sum_decomposition`` with A + B kept as a set of its sums."""
-    pts = {(ax + bx, ay + by) for ax, ay in da.points.points for bx, by in db.points.points}
+    pts = _sums(da.points.points, db.points.points)
     vertices, edge_points = _hull_walk(da, db)
     boundary = [p for p in edge_points if p in pts]
     boundary.extend(vertices)

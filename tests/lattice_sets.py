@@ -108,14 +108,3 @@ def is_lattice_saturated(points) -> bool:
     if len(hull) < 3:
         raise CollinearInput("saturation is defined for non-collinear sets")
     return all(p in ps for p in lattice_points_in_hull(hull))
-
-
-def pack_by_point(pts, box, h, w) -> int:
-    """The packed grid int of ``geometry._pack`` one bit per point: a 1 at
-    bit w k for each point's cell k = (x - x0) h + (y - y0), where (x0, y0)
-    are the first two entries of ``box``."""
-    x0, y0 = box[0], box[1]
-    bits = 0
-    for x, y in pts:
-        bits |= 1 << w * ((x - x0) * h + y - y0)
-    return bits

@@ -451,10 +451,8 @@ def _structure_by_arc_splits(p, v):
         x, y, b_x, b_y = splits[key]
         size_relation = ((not y.low and b_y == b_x)
                          or (len(y.upp) == len(x.upp) + len(y.low) + 1 and b_y > b_x))
-        candidate = FailureShape(*key, not x.low, _low_arc_flat(y), parallel(x, y),
-                                 size_relation)
-        if candidate.ok:
-            shape = candidate
+        if not x.low and _low_arc_flat(y) and parallel(x, y) and size_relation:
+            shape = FailureShape(*key)
             break
     return StructureReport(v, form, nonempty, form if nonempty else True, tuple(bounds), shape)
 

@@ -1,6 +1,7 @@
 import math
 import random
 from contextlib import contextmanager
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from lattice_sets import (
     full_column_sets,
-    pack_by_point,
     saturated_sets,
     sums_by_set,
     support_set,
@@ -34,7 +34,7 @@ from planesum import (
     separated_pair,
     sum_decomposition,
 )
-from planesum import geometry, sumset
+from planesum import sumset
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 
@@ -247,8 +247,7 @@ def _assert_kernels_match_reference(a, b):
 
 def _kept_as_set(a, b):
     """Whether the density rule keeps A + B as a set."""
-    return sumset._grid_sum(a.points, b.points, sumset._box(a.points),
-                            sumset._box(b.points)) is None
+    return sumset._grid(sumset._box(a.points), sumset._box(b.points), len(a), len(b)) is None
 
 
 def _reflected(a, t):
@@ -305,21 +304,6 @@ class TestPackedGrid:
                 assert sum(a0 + b0 == t for a0 in a for b0 in b) == n == min(len(a), len(b))
                 _assert_kernels_match_reference(a, b)
 
-    @given(st.one_of(st.lists(points, max_size=30), saturated_sets(max_span=12),
-                     full_column_sets()),
-           st.randoms(use_true_random=False), st.integers(0, 3), st.integers(0, 3),
-           st.integers(0, 4), st.integers(1, 9))
-    @settings(max_examples=300, deadline=None)
-    def test_pack_by_runs_matches_one_bit_per_point(self, pts, rnd, dx, dy, dh, w):
-        # any order with repeats, negative coordinates, and a corner and a
-        # column height that leave room around the points, as a sum's grid does
-        pts = pts + rnd.sample(pts, rnd.randint(0, len(pts)))
-        rnd.shuffle(pts)
-        x0, y0, _, y1 = geometry._box(pts) if pts else (0, 0, 0, 0)
-        box, h = (x0 - dx, y0 - dy), y1 - y0 + 1 + dy + dh
-        for order in (pts, sorted(pts)):
-            assert geometry._pack(order, box, h, w) == pack_by_point(order, box, h, w)
-
     def test_rule_packs_dense_sums_and_not_sparse_ones(self):
         rng = random.Random(1441)
         for _ in range(20):
@@ -327,9 +311,7 @@ class TestPackedGrid:
                                         corners=rng.randint(4, 8)) for _ in range(2)]
             sep = separated_pair(rng)
             for (a, b), packed in ((sat, True), (sep, False)):
-                a, b = a.points, b.points
-                grid = sumset._grid_sum(a, b, sumset._box(a), sumset._box(b))
-                assert (grid is not None) == packed
+                assert _kept_as_set(a, b) != packed
 
 
 def _with_hull(vertices, rng, k):
@@ -388,6 +370,33 @@ class TestWalkMemo:
                         == (len(sums), ref.b, ref.i, set(ref.boundary), ref.hull_vertices))
         assert len(walks) == 1
 
+    def test_rule_at_its_boundary_fresh_and_on_a_memo_hit(self):
+        # at exactly w cells / (|A||B|) bits per product the pair stays on
+        # the grid, and one step below it takes the set path, whether its
+        # walk is fresh or read from the memo: ``_grid`` and the memo's
+        # re-check spell one rule
+        rng = random.Random(23)
+        a, b = (_with_hull([(0, 0), (4, 0), (0, 4)], rng, k) for k in (3, 6))
+        da, db = classify_points(a), classify_points(b)
+        grid = sumset._grid(da.box, db.box, da.size, db.size)
+        assert grid is not None
+        products = da.size * db.size
+        sums = sums_by_set(a.points, b.points)
+        ref = classify_points(sums)
+        walks = {}
+        sum_decomposition(da, db, walks)
+        (entry,) = walks.values()
+        for bits, packed in ((Fraction(grid[2], products), True),
+                             (Fraction(grid[2] - 1, products), False)):
+            with mock.patch.object(sumset, "_BITS_PER_PRODUCT", bits):
+                assert _kept_as_set(a, b) != packed
+                for d in (sum_decomposition(da, db), sum_decomposition(da, db, walks)):
+                    assert (d.grid is not None) == packed
+                    assert (d.size, d.b, d.boundary) == (len(sums), ref.b, set(ref.boundary))
+        # each hit read the entry the first walk stored and walked nothing again
+        (hit,) = walks.values()
+        assert hit is entry
+
 
 class TestMemoTables:
     """Per-set memo tables must return what the direct calls return."""
@@ -416,6 +425,6 @@ class TestMemoTables:
     def test_arc_matches_arc_decomposition(self, da, db):
         v = generic_direction(da, db)
         assert v == generic_direction(da.points, db.points)
-        for d in (da, db, da, db):
-            assert d.arc(v) == arc_decomposition(d, v)
-            assert d.arc(-v) == arc_decomposition(d, -v)
+        for d in (da, db):
+            assert arc_decomposition(d, v) == arc_decomposition(d.points, v)
+            assert arc_decomposition(d, -v) == arc_decomposition(d.points, -v)
