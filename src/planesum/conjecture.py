@@ -36,8 +36,9 @@ bug or a genuine counterexample and either way demands attention:
   i_{A+B} >= i_A + |B| - 1 and symmetrically.
 * ``check_arc_structure``: arc bookkeeping for boundary-only pairs under a
   generic direction, including the forced shape when the boundary form
-  fails. Each summand memoises per direction one tuple of ints for v and
-  one for -v (``HullDecomposition.arc_facts``), and the rules of one
+  fails. ``generic_direction`` splits each summand's boundary the same way
+  in every pair that holds it, so each set caches one tuple of ints for v
+  and one for -v (``HullDecomposition.arc_facts``), and the rules of one
   role/direction configuration are written once on those tuples, for the
   report and for the sweep's ``arcs`` check alike.
 * ``check_extremal_classification``: the boundary form fails only for the
@@ -66,9 +67,11 @@ from .geometry import (
     Point,
     PointSet,
     _cones_meet,
+    arc_decomposition,
     classify_points,
     convex_hull,
     generic_direction,
+    split_facts,
 )
 from .sumset import SumDecomposition, is_translate_of, minkowski_sum, sum_decomposition
 from .triangulation import lattice_points_in_hull, tr_euler
@@ -295,7 +298,7 @@ class BoundaryCountResult(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.holds and self.equality == self.ap_condition
+        return _counts_ok(self.holds, self.equality, self.ap_condition)
 
 
 def check_boundary_superadditivity(
@@ -314,18 +317,26 @@ def check_boundary_superadditivity(
     sets share as many ``edge_progressions`` as ``edge_normals``; A + B
     enters only through b_{A+B}.
     """
-    return _boundary_counts(_pair_for("boundary_counts", a, b, decomp_a, decomp_b,
-                                      decomp_ab))
+    return BoundaryCountResult(*_boundary_counts(
+        _pair_for("boundary_counts", a, b, decomp_a, decomp_b, decomp_ab)))
 
 
-def _boundary_counts(p: Pair) -> BoundaryCountResult:
+def _boundary_counts(p: Pair) -> Tuple[bool, bool, bool]:
+    """(b_{A+B} >= b_A + b_B, whether that is an equality, the progression
+    condition), as a plain tuple: the sweep reads it on every pair."""
     da, db = p.da, p.db
     b_sum, b_ab = da.b + db.b, p.dab.b
     # each shared normal is one shared progression exactly when both sets'
     # points on it step alike
     ap = (len(da.edge_progressions & db.edge_progressions)
           == len(da.edge_normals & db.edge_normals))
-    return BoundaryCountResult(b_ab >= b_sum, b_ab == b_sum, ap)
+    return b_ab >= b_sum, b_ab == b_sum, ap
+
+
+def _counts_ok(holds: bool, equality: bool, ap_condition: bool) -> bool:
+    """Whether ``_boundary_counts`` show the bound, with equality exactly
+    under the progression condition."""
+    return holds and equality == ap_condition
 
 
 def check_unique_rep_bound(a: PointSet, b: PointSet,
@@ -420,7 +431,8 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
                         decomp_b: Optional[HullDecomposition] = None,
                         decomp_ab: Optional[SumLike] = None,
                         ) -> StructureReport:
-    """Verify the arc bookkeeping of a boundary-only pair under direction v.
+    """Verify the arc bookkeeping of a boundary-only pair under direction v,
+    by default ``generic_direction(a, b)``, which the report gives as ``v``.
 
     Checks, in order: all four arcs nonempty forces the boundary form; every
     role/direction configuration with an empty lower arc obeys the interior
@@ -428,20 +440,28 @@ def check_arc_structure(a: PointSet, b: PointSet, v: Optional[Direction] = None,
     some configuration among (A,B,v), (A,B,-v), (B,A,v), (B,A,-v) exhibits
     the forced failure shape (first match reported).
 
-    Each configuration is read from the two summands' ``arc_facts``, the
-    integers each set memoises per direction for v and -v. The rules of one
-    configuration, the bound (``_bound_facts``, ``_bound_ok``) and the
-    failure shape (``_shape_holds``), are written once, and the sweep's
-    ``arcs`` check applies the same ones without building this report.
+    Each configuration is read from two tuples of integers per summand, for
+    v and -v: under the default direction the set's cached ``arc_facts``,
+    under an explicit v the ``split_facts`` of its ``arc_decomposition``.
+    The rules of one configuration, the bound (``_bound_facts``,
+    ``_bound_ok``) and the failure shape (``_shape_holds``), are written
+    once, and the sweep's ``arcs`` check applies the same ones without
+    building this report.
     """
     return _arcs(_pair_for("arcs", a, b, decomp_a, decomp_b, decomp_ab), v)
 
 
-def _configurations(da: HullDecomposition, db: HullDecomposition, v: Direction) -> tuple:
+def _configurations(da: HullDecomposition, db: HullDecomposition,
+                    v: Optional[Direction] = None) -> tuple:
     """(swapped, flipped, arc facts of X, arc facts of Y, b_X, b_Y) for the
-    configurations (A,B,v), (A,B,-v), (B,A,v), (B,A,-v), in that order."""
-    fa, ba = da.arc_facts(v)
-    fb, bb = db.arc_facts(v)
+    configurations (A,B,v), (A,B,-v), (B,A,v), (B,A,-v), in that order; v
+    defaults to ``generic_direction(da, db)``, under which the facts are the
+    sets' cached ``arc_facts``."""
+    if v is None:
+        (fa, ba), (fb, bb) = da.arc_facts, db.arc_facts
+    else:
+        (fa, ba), (fb, bb) = (split_facts(arc_decomposition(da, v)),
+                              split_facts(arc_decomposition(db, v)))
     b_a, b_b = da.b, db.b
     return ((False, False, fa, fb, b_a, b_b), (False, True, ba, bb, b_a, b_b),
             (True, False, fb, fa, b_b, b_a), (True, True, bb, ba, b_b, b_a))
@@ -484,9 +504,9 @@ def _shape_holds(x: tuple, y: tuple, b_x: int, b_y: int) -> bool:
 
 
 def _arcs(p: Pair, v: Optional[Direction] = None) -> StructureReport:
+    configs = _configurations(p.da, p.db, v)
     if v is None:
         v = generic_direction(p.da, p.db)
-    configs = _configurations(p.da, p.db, v)
     eq_form = p.boundary_form
     i_ab = p.dab.i
     all_nonempty = _arcs_nonempty(configs[0][2], configs[0][3])
@@ -506,7 +526,7 @@ def _arcs(p: Pair, v: Optional[Direction] = None) -> StructureReport:
 
 def _arcs_ok(p: Pair) -> bool:
     """``_arcs(p).ok``, from the same rules, stopping at the first false."""
-    configs = _configurations(p.da, p.db, generic_direction(p.da, p.db))
+    configs = _configurations(p.da, p.db)
     eq_form = p.boundary_form
     if not eq_form and _arcs_nonempty(configs[0][2], configs[0][3]):
         return False
@@ -541,7 +561,7 @@ def _always(p: Pair) -> bool:
 CHECKS: Dict[str, Tuple[Callable[[Pair], bool], Callable[[Pair], bool]]] = {
     "freiman": (_always, lambda p: p.dab.size >= p.da.size + p.db.size - 1),
     "sum_boundary": (_always, _sum_boundary),
-    "boundary_counts": (_always, lambda p: _boundary_counts(p).ok),
+    "boundary_counts": (_always, lambda p: _counts_ok(*_boundary_counts(p))),
     "unique_rep": (lambda p: p.unique, _unique_rep),
     "interior": (lambda p: p.da.i >= 1 and p.db.i >= 1, _interior),
     "arcs": (lambda p: p.boundary_only, _arcs_ok),

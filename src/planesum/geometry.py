@@ -20,7 +20,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -286,11 +285,6 @@ class HullDecomposition:
         return _box(self.hull_vertices)
 
     @cached_property
-    def edge_lines(self) -> frozenset:
-        """Hull edge directions up to sign, each as ``_line_key`` gives it."""
-        return frozenset(_line_key(sx, sy) for _, sx, sy, _ in self.edge_table)
-
-    @cached_property
     def cone_rows(self) -> tuple:
         """(x, y, cone) per point in set order; cone is None for an interior
         point and (lo dx, lo dy, hi dx, hi dy) for a boundary point, the
@@ -337,28 +331,22 @@ class HullDecomposition:
                           if step is not None])
 
     @cached_property
-    def _arc_facts(self) -> dict:
-        return {}
+    def rise(self) -> int:
+        """The largest |sy| over ``edge_table``: no hull edge is parallel to
+        (1, m) for any m > rise (see ``generic_direction``)."""
+        return max([abs(sy) for _, _, sy, _ in self.edge_table])
 
-    def arc_facts(self, v: Direction) -> Tuple[tuple, tuple]:
-        """The integers the arc checks read off the boundary's splits under
-        v and -v, memoised per direction (keyed by (dx, dy), which hashes in
-        C where a ``Direction`` does not): for each split, (|upp|, |low|,
-        whether ``low`` lies on the segment [l, r], and the two components
-        of r - l). l and r are the unique extremes across v, so a point on
-        their line lies between them. Both tuples come from the one
-        ``arc_decomposition(self, v)``, since negating v swaps l with r and
-        ``upp`` with ``low``."""
-        key = (v.dx, v.dy)
-        facts = self._arc_facts.get(key)
-        if facts is None:
-            arc = arc_decomposition(self, v)
-            l, r, upp, low = arc.l, arc.r, arc.upp, arc.low
-            sx, sy = r.x - l.x, r.y - l.y
-            facts = self._arc_facts[key] = (
-                (len(upp), len(low), _collinear((l, r, *low)), sx, sy),
-                (len(low), len(upp), _collinear((r, l, *upp)), -sx, -sy))
-        return facts
+    @cached_property
+    def arc_facts(self) -> Tuple[tuple, tuple]:
+        """``split_facts`` of the split under (1, rise + 1): the arc facts
+        under ``generic_direction`` of every pair that holds this set.
+
+        The extremes l and r of m x - y over the hull change only where
+        (1, m) passes an edge direction, and no (1, m) with m > rise is
+        parallel to an edge, so every such direction splits the boundary
+        alike; ``generic_direction`` picks one of them for both sets.
+        """
+        return split_facts(arc_decomposition(self, Direction(1, self.rise + 1)))
 
     # Grid tables, memoised per field layout (h, w): the column height and
     # the field width of a sum's packed grid (see ``sumset``). A sweep meets
@@ -453,15 +441,6 @@ class _ConeMasks(dict):
         return mask
 
 
-def _line_key(dx: int, dy: int) -> tuple:
-    """Primitive form of the line direction of a nonzero vector, sign fixed
-    so that dx > 0, or dx == 0 and dy == 1: the form of the candidates of
-    ``generic_direction``."""
-    g = math.gcd(dx, dy)
-    dx, dy = dx // g, dy // g
-    return (dx, dy) if dx > 0 or (dx == 0 and dy > 0) else (-dx, -dy)
-
-
 def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposition:
     """Partition a non-collinear set into hull boundary and strict interior.
 
@@ -482,57 +461,21 @@ def classify_points(points: Union[PointSet, Iterable[Coords]]) -> HullDecomposit
     return HullDecomposition(points=ps, hull_vertices=hull, cycle=tuple(cycle))
 
 
-def _candidate_directions() -> Iterator[Direction]:
-    """The candidates of ``generic_direction`` in order."""
-    yield from _FIRST_CANDIDATES
-    yield from itertools.islice(_enumerate_candidates(), len(_FIRST_CANDIDATES), None)
-
-
-def _enumerate_candidates() -> Iterator[Direction]:
-    # One representative per +-pair: dx > 0, or dx == 0 with dy == 1. Ordered
-    # by max(|dx|, |dy|), then dx, then |dy| with the positive dy first.
-    yield Direction(0, 1)
-    n = 1
-    while True:
-        for dx in range(1, n + 1):
-            for ady in range(0, n + 1):
-                if max(dx, ady) != n:
-                    continue
-                if math.gcd(dx, ady) != 1:
-                    continue
-                if ady == 0:
-                    yield Direction(dx, 0)
-                else:
-                    yield Direction(dx, ady)
-                    yield Direction(dx, -ady)
-        n += 1
-
-
-# built once: all but pairs with many distinct edge directions stop in here
-_FIRST_CANDIDATES = tuple(itertools.islice(_enumerate_candidates(), 32))
-
-
-def _hull_lines(s: Union[PointSet, HullDecomposition, Iterable[Coords]]) -> frozenset:
-    """``edge_lines`` of a non-collinear set, classified here unless it is a
-    decomposition already; a collinear set raises ``CollinearInput``."""
-    return (s if isinstance(s, HullDecomposition) else classify_points(s)).edge_lines
-
-
 def generic_direction(a: Union[PointSet, HullDecomposition, Iterable[Coords]],
                       b: Union[PointSet, HullDecomposition, Iterable[Coords]]) -> Direction:
-    """Smallest enumerated direction parallel to no hull edge of [a] or [b].
+    """(1, m) with m = max(rise of [a], rise of [b]) + 1: a direction
+    parallel to no hull edge of [a] or [b].
 
-    Both sets must be non-collinear; a collinear one raises
-    ``CollinearInput``. Decompositions contribute their cached hull edges;
-    other inputs are classified here.
+    A set's rise is the largest |sy| over its primitive hull edge steps
+    (sx, sy). A step with sx != 0 is parallel to (1, m) only if sy = m sx,
+    so |sy| = m |sx| >= m > rise, which no step has; a vertical step
+    (sx = 0) never is. Both sets must be non-collinear; a collinear one
+    raises ``CollinearInput``. Decompositions contribute their cached
+    ``rise``; other inputs are classified here.
     """
-    lines_a = _hull_lines(a)
-    lines_b = _hull_lines(b)
-    for cand in _candidate_directions():
-        key = (cand.dx, cand.dy)
-        if key not in lines_a and key not in lines_b:
-            return cand
-    raise AssertionError("unreachable: finitely many edges")
+    da = a if isinstance(a, HullDecomposition) else classify_points(a)
+    db = b if isinstance(b, HullDecomposition) else classify_points(b)
+    return Direction(1, max(da.rise, db.rise) + 1)
 
 
 @dataclass(frozen=True)
@@ -577,6 +520,19 @@ def arc_decomposition(points: Union[PointSet, HullDecomposition, Iterable[Coords
     m = (keys.index(max(keys)) - li) % len(cyc)
     ring = cyc[li:] + cyc[:li]
     return ArcDecomposition(v=v, l=ring[0], r=ring[m], upp=ring[m + 1:], low=ring[1:m])
+
+
+def split_facts(arc: ArcDecomposition) -> Tuple[tuple, tuple]:
+    """The integers the arc checks read off the boundary's splits under
+    ``arc.v`` and its negation: for each split, (|upp|, |low|, whether
+    ``low`` lies on the segment [l, r], and the two components of r - l).
+    l and r are the unique extremes across v, so a point on their line lies
+    between them. Negating v swaps l with r and ``upp`` with ``low``, so one
+    decomposition gives both tuples."""
+    l, r, upp, low = arc.l, arc.r, arc.upp, arc.low
+    sx, sy = r.x - l.x, r.y - l.y
+    return ((len(upp), len(low), _collinear((l, r, *low)), sx, sy),
+            (len(low), len(upp), _collinear((r, l, *upp)), -sx, -sy))
 
 
 def _collinear(pts: Sequence[Coords]) -> bool:

@@ -45,6 +45,7 @@ from planesum.conjecture import (
     StructureReport,
     _sum_boundary,
 )
+from planesum.geometry import split_facts
 
 TRI = PointSet([(0, 0), (1, 0), (0, 1)])
 TRI_DOUBLE = minkowski_sum(TRI, TRI)
@@ -391,7 +392,7 @@ class TestInteriorBounds:
 class TestArcStructure:
     def test_triangle_with_itself(self):
         r = check_arc_structure(TRI, TRI)
-        assert r.v == Direction(1, 1)
+        assert r.v == Direction(1, 2)
         assert r.eq_boundary_form
         assert r.ok
 
@@ -504,8 +505,20 @@ class TestPerSetFacts:
         v = Direction.of(*vector)
         assume(all((q.x - p.x) * v.dy != (q.y - p.y) * v.dx
                    for p, q in zip(d.hull_vertices, d.hull_vertices[1:] + d.hull_vertices[:1])))
-        assert d.arc_facts(v) == (_arc_facts_by_split(arc_decomposition(s, v)),
-                                  _arc_facts_by_split(arc_decomposition(s, -v)))
+        assert split_facts(arc_decomposition(s, v)) == (
+            _arc_facts_by_split(arc_decomposition(s, v)),
+            _arc_facts_by_split(arc_decomposition(s, -v)))
+
+    @given(boundary_only, boundary_only)
+    @settings(max_examples=100, deadline=None)
+    def test_cached_facts_hold_for_every_steeper_direction(self, a, b):
+        # every (1, m) with m > rise splits a set alike, so the cached facts
+        # are the facts under the generic direction of any pair
+        for s in (a, b):
+            d = classify_points(s)
+            for m in range(d.rise + 1, d.rise + 7):
+                assert split_facts(arc_decomposition(d, Direction(1, m))) == d.arc_facts, (s, m)
+        assert check_arc_structure(a, b) == check_arc_structure(a, b, generic_direction(a, b))
 
     @given(boundary_only, boundary_only, st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
     @settings(max_examples=100, deadline=None)

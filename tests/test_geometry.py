@@ -342,52 +342,29 @@ class TestNormalCone:
                 assert lx * hy - ly * hx > 0
 
 
-def _brute_force_first_generic(edge_dirs, limit=6):
-    # regenerate the candidate order by brute force and take the first
-    # direction not parallel to any given edge direction
-    cands = []
-    for dx in range(0, limit + 1):
-        for dy in range(-limit, limit + 1):
-            if (dx, dy) == (0, 0) or math.gcd(dx, abs(dy)) != 1:
-                continue
-            if dx == 0 and dy != 1:
-                continue
-            cands.append((dx, dy))
-    cands.sort(key=lambda v: (max(abs(v[0]), abs(v[1])), v[0], abs(v[1]), v[1] < 0))
-    for dx, dy in cands:
-        if all(dx * ey - dy * ex != 0 for ex, ey in edge_dirs):
-            return Direction(dx, dy)
-    raise AssertionError
-
-
 class TestGenericDirection:
     def test_triangle_pair(self):
-        expected = _brute_force_first_generic([(1, 0), (-1, 1), (0, -1)])
-        assert expected == Direction(1, 1)
-        assert generic_direction(TRI, TRI) == expected
+        # the steepest edge, (-1, 1), rises 1
+        assert generic_direction(TRI, TRI) == Direction(1, 2)
 
     def test_square_pair(self):
         sq = PointSet([(0, 0), (1, 0), (0, 1), (1, 1)])
-        expected = _brute_force_first_generic([(1, 0), (0, 1)])
-        assert generic_direction(sq, sq) == expected == Direction(1, 1)
+        assert generic_direction(sq, sq) == Direction(1, 2)
 
     def test_skips_occupied_small_directions(self):
-        # hull edges of the two sets block (0,1), (1,0), (1,1) and (1,-1)
+        # b's edge (-1, 3) rises 3, so the answer steps past (1, 2) and
+        # (1, 3), neither of which is parallel to a hull edge
         a = PointSet([(0, 0), (1, 1), (2, 0)])
         b = PointSet([(0, 0), (1, -1), (0, 2)])
-        v = generic_direction(a, b)
-        assert v == Direction(1, 2)
-        assert v == _brute_force_first_generic(
-            [(1, 0), (-1, 1), (-1, -1), (1, -1), (-1, 3), (0, -1)]
-        )
+        assert generic_direction(a, b) == generic_direction(b, a) == Direction(1, 4)
 
     def test_many_blocked_directions(self):
-        # a zonogon with edges along the first 40 candidates, both ways: the
-        # answer is the 41st candidate, past any short list of them
-        cands = sorted(((dx, dy) for dx in range(8) for dy in range(-7, 8)
-                        if math.gcd(dx, abs(dy)) == 1 and (dx > 0 or dy == 1)),
-                       key=lambda v: (max(abs(v[0]), abs(v[1])), v[0], abs(v[1]), v[1] < 0))
-        blocked = cands[:40]
+        # a zonogon with an edge along each primitive direction of max-norm
+        # at most 5, both ways: the steepest non-vertical edges, along (1, 5)
+        # and (1, -5), rise 5, so the answer is (1, 6)
+        blocked = [(dx, dy) for dx in range(6) for dy in range(-5, 6)
+                   if math.gcd(dx, abs(dy)) == 1 and (dx > 0 or dy == 1)]
+        assert len(blocked) == 40
         edges = sorted(blocked + [(-dx, -dy) for dx, dy in blocked],
                        key=lambda e: math.atan2(e[1], e[0]))
         x = y = 0
@@ -397,9 +374,9 @@ class TestGenericDirection:
             x, y = x + dx, y + dy
         d = classify_points(corners)
         assert len(d.hull_vertices) == 80
-        expected = _brute_force_first_generic(blocked, limit=7)
-        assert expected == Direction(*cands[40])
-        assert generic_direction(d, d) == generic_direction(d.points, d.points) == expected
+        v = generic_direction(d, d)
+        assert v == generic_direction(d.points, d.points) == Direction(1, 6)
+        assert all(dx * v.dy != dy * v.dx for dx, dy in edges)
 
     @given(st.lists(points, min_size=3, max_size=12))
     @settings(max_examples=60)
