@@ -93,9 +93,10 @@ def _canonical(pts: Sequence[Tuple[int, int]], symmetry: str) -> Tuple[Tuple[int
     return min(_class_key([f(x, y) for x, y in pts]) for f in _DIHEDRAL)
 
 
-def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
+def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: Optional[int],
                          symmetry: str = "translation") -> Iterator[PointSet]:
-    """Canonical non-collinear subsets of the grid, sizes ascending.
+    """Canonical non-collinear subsets of the grid, sizes ascending; a
+    ``max_pts`` of None reads as every cell.
 
     Yields one representative per translation class (or per class of the
     full 8-element lattice symmetry group with ``symmetry="dihedral"``), in
@@ -105,14 +106,15 @@ def enumerate_point_sets(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
     return map(PointSet, _class_keys(grid_w, grid_h, min_pts, max_pts, symmetry))
 
 
-def _class_keys(grid_w: int, grid_h: int, min_pts: int, max_pts: int,
+def _class_keys(grid_w: int, grid_h: int, min_pts: int, max_pts: Optional[int],
                 symmetry: str) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """``enumerate_point_sets`` as the ``_canonical`` keys of the classes."""
     _check_grid(grid_w, grid_h, min_pts, max_pts, capped=True)
     _check_symmetry(symmetry)
     grid = _grid_points(grid_w, grid_h)
     seen = set()
-    for size in range(min_pts, min(max_pts, len(grid)) + 1):
+    top = len(grid) if max_pts is None else min(max_pts, len(grid))
+    for size in range(min_pts, top + 1):
         for combo in itertools.combinations(grid, size):
             if _collinear(combo):
                 continue
@@ -153,11 +155,13 @@ def _check_grid(grid_w: int, grid_h: int, min_pts: int, max_pts: Optional[int],
 
 
 def random_point_set(rng: random.Random, grid_w: int, grid_h: int,
-                     min_pts: int, max_pts: int) -> PointSet:
-    """Uniform random non-collinear grid subset (size uniform in range)."""
+                     min_pts: int, max_pts: Optional[int]) -> PointSet:
+    """Uniform random non-collinear grid subset (size uniform in range); a
+    ``max_pts`` of None reads as every cell."""
     _check_grid_has_area(grid_w, grid_h)
     _check_grid(grid_w, grid_h, min_pts, max_pts, capped=False)
-    return PointSet(_draw(rng, _grid_points(grid_w, grid_h), min_pts, max_pts))
+    grid = _grid_points(grid_w, grid_h)
+    return PointSet(_draw(rng, grid, min_pts, len(grid) if max_pts is None else max_pts))
 
 
 def _draw(rng: random.Random, grid: Sequence[Tuple[int, int]], min_pts: int,

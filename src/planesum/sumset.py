@@ -1,13 +1,13 @@
 """Minkowski sumsets of finite planar point sets and translation normal forms.
 
-``sum_decomposition`` splits A + B into hull boundary and interior from the
-summands' decompositions alone. The hull of A + B is the Minkowski sum of
-the two hull polygons, whose edge cycle is the two summands' edge cycles
-merged by angle, with parallel edges added (de Berg et al., *Computational
-Geometry*, ch. 13). The lattice points of a hull edge are walked in gcd
-steps, and each one that is in A + B is a boundary point. Every other point
-of A + B is interior. ``classify_points(minkowski_sum(a, b))`` decides the
-same split from scratch and is the reference the tests hold the kernel to.
+``sum_decomposition`` splits A + B into hull boundary and interior. A sum
+kept as a set is split as ``classify_points`` splits it, by the monotone
+chain over its sorted sums. On the packed grid the hull of A + B is the
+Minkowski sum of the hull polygons, whose edge cycle is the summands' edge
+cycles merged by angle, parallel edges added (de Berg et al., *Computational
+Geometry*, ch. 13); its lattice points are walked in gcd steps, and those in
+A + B are the boundary. ``classify_points(minkowski_sum(a, b))`` is the
+reference the tests hold both paths to.
 
 Both ``sum_decomposition`` and ``minkowski_sum`` find A + B as a packed
 grid where it is dense, and ``_grid`` alone decides where that is and lays
@@ -35,10 +35,11 @@ and two popcounts.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import compress, count
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .geometry import HullDecomposition, Point, PointSet, _box, _pack
+from .geometry import (HullDecomposition, Point, PointSet, _boundary_chain, _box,
+                       _left_turns, _pack)
 
 
 def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
@@ -60,12 +61,12 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
 
 
 # The packed grid costs a few bignum operations on its w * cells bits, the
-# set one insert per product |A||B|, so the grid pays off only while the
-# sum's bounding box is dense in sums. Timed on random pairs of 3 to 40
-# points from square grids of side 3 to 60 (one core, Python 3.11): at 14
-# to 16 bits per product the grid took 0.6x the set's time in
-# sum_decomposition and 0.9x in minkowski_sum; they broke even at 24 to 32
-# and at 20 to 28 bits, and at 48 to 64 the grid took 1.5x to 2x as long.
+# set an insert per product |A||B|, and in sum_decomposition a sort and a
+# boundary chain of the sums too. Timed on random pairs of 3 to 40 points
+# from square grids of side 3 to 60 (one Xeon core, Python 3.11, summands
+# packed per call): at 12 to 16 bits per product the grid took 0.85x the
+# set's time in minkowski_sum, broke even at 20 to 24 and took 1.5x at 48
+# to 64; in sum_decomposition it took 0.13x and stayed faster past 96.
 # Saturated pairs need under 3 bits per product, separated pairs over 50.
 _BITS_PER_PRODUCT = 16
 
@@ -122,10 +123,10 @@ class SumDecomposition:
     w k of ``bits`` is set exactly when cell k of the sum's bounding box,
     column-major with column height h and w bits per cell, is a boundary
     point of A + B; it is None where the sum was kept as a set.
-    ``hull_vertices`` and ``boundary`` are built on first read: the vertices
-    CCW from the lexicographically smallest one, in the order that
-    ``classify_points`` gives them, and the set of boundary points, both as
-    plain ``(x, y)`` tuples, which compare and hash equal to ``Point``s.
+    ``hull_vertices``, CCW from the lexicographically smallest as
+    ``classify_points`` gives them, and ``boundary`` are plain ``(x, y)``
+    tuples, which compare and hash equal to ``Point``s. The set path sets
+    both; on the grid they are built on first read.
     """
 
     def __init__(self, size: int, b: int, grid: Optional[tuple],
@@ -138,7 +139,7 @@ class SumDecomposition:
 
     @cached_property
     def hull_vertices(self) -> tuple:
-        return tuple(_hull_walk(*self._summands)[0])
+        return _left_turns(_hull_walk(*self._summands))
 
     @cached_property
     def boundary(self) -> frozenset:
@@ -155,7 +156,7 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition,
     a mask with a 1 at bit w k for each lattice point k on the hull of
     A + B, whether in A + B or not. Translating A or B translates the sum's
     box and hull alike, so the two edge tables and w fix the entry. Without
-    a memo each call walks the hull afresh; the result is the same.
+    a memo each grid call walks the hull afresh; a set sum walks nothing.
     """
     na, nb = da.size, db.size
     key = (da.edge_table, db.edge_table, min(na, nb).bit_length() + 1)
@@ -169,7 +170,7 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition,
             return _set_sum(da, db)
         h, w = grid[:2]
         corner = da.box[0] + db.box[0], da.box[1] + db.box[1]
-        walk = (*grid, _pack(chain(*_hull_walk(da, db)), corner, h, w))
+        walk = (*grid, _pack(_hull_walk(da, db), corner, h, w))
         if walks is not None:
             walks[key] = walk
     h, w, _, ones, fill, hull = walk
@@ -180,22 +181,20 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition,
 
 
 def _set_sum(da: HullDecomposition, db: HullDecomposition) -> SumDecomposition:
-    """``sum_decomposition`` with A + B kept as a set of its sums."""
-    pts = _sums(da.points.points, db.points.points)
-    vertices, edge_points = _hull_walk(da, db)
-    boundary = [p for p in edge_points if p in pts]
-    boundary.extend(vertices)
-    d = SumDecomposition(len(pts), len(boundary), None, da, db)
-    d.hull_vertices = tuple(vertices)
-    d.boundary = frozenset(boundary)
+    """``sum_decomposition`` with A + B kept as a set of its sums: the
+    boundary chain of the sorted sums, at a cost set by |A||B|, not by coordinates."""
+    pts = sorted(_sums(da.points.points, db.points.points))
+    cycle = _boundary_chain(pts)
+    d = SumDecomposition(len(pts), len(cycle), None, da, db)
+    d.hull_vertices = _left_turns(cycle)
+    d.boundary = frozenset(cycle)
     return d
 
 
-def _hull_walk(da: HullDecomposition, db: HullDecomposition,
-               ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """(vertices, edge points) of the hull of A + B: its vertices CCW from
-    the lexicographically smallest, and the lattice points strictly inside
-    its edges."""
+def _hull_walk(da: HullDecomposition, db: HullDecomposition) -> List[Tuple[int, int]]:
+    """The lattice points on the hull of A + B, in A + B or not, as one CCW
+    cycle from its smallest vertex: a step per point, so only the grid,
+    whose density rule bounds the box, walks it."""
     ea, eb = da.edge_table, db.edge_table
     na, nb = len(ea), len(eb)
     # merge the two edge cycles by angle; rows are (half, sx, sy, g)
@@ -221,17 +220,13 @@ def _hull_walk(da: HullDecomposition, db: HullDecomposition,
 
     a0, b0 = da.hull_vertices[0], db.hull_vertices[0]
     x, y = a0[0] + b0[0], a0[1] + b0[1]
-    vertices = []
-    edge_points = []
+    cycle = []
     for sx, sy, g in merged:
-        vertices.append((x, y))  # a vertex of A + B is a sum of vertices
-        for _ in range(g - 1):
+        for _ in range(g):
+            cycle.append((x, y))
             x += sx
             y += sy
-            edge_points.append((x, y))
-        x += sx
-        y += sy
-    return vertices, edge_points
+    return cycle
 
 
 def _class_key(pts: Sequence[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:

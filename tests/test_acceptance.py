@@ -265,11 +265,14 @@ def test_criterion_7_boundary_only_classification():
     pre_t = [(db, db.b, sb) for sb, db in trans_b]
     failures = 0
     unexplained = 0
-    for sa, da in dihe_b:
+    # one memo per hull shape of A: the rows come sorted by A's edge table,
+    # so the rows of one shape share their 7,055 sums' walks, one per hull
+    # shape of B and field width
+    table = None
+    for sa, da in sorted(dihe_b, key=lambda row: row[1].edge_table):
         threshold = da.b - 6
-        # one memo per row: A's hull shape is fixed, so the row's 7,055 sums
-        # need one hull walk per hull shape of B and field width
-        walks = {}
+        if da.edge_table != table:
+            table, walks = da.edge_table, {}
         for db, bb, sb in pre_t:
             if 2 * sum_decomposition(da, db, walks).i < threshold + bb:
                 failures += 1

@@ -56,6 +56,18 @@ class TestCheck:
             "case=BoundaryOnly extremal=holds\n"
         )
 
+    def test_far_apart_sum_is_split_from_its_sums(self, pts):
+        # A + B is kept as a set, with about 10^20 lattice points on its
+        # hull: its split must cost the 9 sums, so a walk of the hull would
+        # run into the timeout
+        far = PointSet([(0, 0), (10**20, 0), (0, 1)])
+        out = subprocess.run(
+            [sys.executable, "-m", "planesum.cli", "check", pts("a.pts", TRI), pts("b.pts", far)],
+            env=_package_env(), check=True, capture_output=True, text=True, timeout=10).stdout
+        lines = out.splitlines()
+        assert "b_a=3 i_a=0 b_b=3 i_b=0 b_ab=7 i_ab=1" in lines
+        assert {"main=StrictHolds", "case=BoundaryOnly extremal=none"} <= set(lines)
+
     def test_missing_file(self, capsys):
         code = cli_dispatch(["check", "/nonexistent/a.pts", "/nonexistent/b.pts"])
         assert code == 2
@@ -395,15 +407,19 @@ class TestParserDifferential:
         assert {name for name, *_ in cli_mod._COMMANDS} <= covered
 
 
+def _package_env():
+    """The environment with the tested package's source first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_import_loads_no_process_pool():
     # only search with more than one worker starts a pool, so only it pays
     # for importing multiprocessing
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli_mod.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, planesum.cli; "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=_package_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -122,6 +122,10 @@ class TestEnumeration:
         got = list(enumerate_point_sets(3, 3, 4, 4))
         assert all(len(s) == 4 for s in got)
 
+    def test_max_pts_none_reads_as_every_cell(self):
+        # as SearchConfig.normalized reads it
+        assert list(enumerate_point_sets(3, 3, 3, None)) == list(enumerate_point_sets(3, 3, 3, 9))
+
     def test_min_pts_validation(self):
         with pytest.raises(ValueError):
             list(enumerate_point_sets(3, 3, 2, 4))
@@ -208,6 +212,14 @@ class TestRandomGenerators:
 
         with pytest.raises(ValueError, match="at least 2"):
             random_point_set(BoundedRandom(0), grid[0], grid[1], 3, 5)
+
+    def test_max_pts_none_reads_as_every_cell(self):
+        # the same draws, generator calls included, as an explicit cap of
+        # every cell, which is how SearchConfig.normalized reads None
+        rng, ref = random.Random(5), random.Random(5)
+        for _ in range(50):
+            assert random_point_set(rng, 3, 3, 3, None) == random_point_set(ref, 3, 3, 3, 9)
+        assert rng.getstate() == ref.getstate()
 
     def test_seeded_reproducibility(self):
         s1 = random_point_set(random.Random(42), 8, 8, 3, 10)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lattice_sets import (
+    boundary_count,
     full_column_sets,
+    orientation,
     saturated_sets,
     sums_by_set,
     support_set,
@@ -23,6 +25,7 @@ from planesum import (
     PointSet,
     arc_decomposition,
     canonical_translate,
+    check_sum_boundary,
     classify_points,
     convex_hull,
     generic_direction,
@@ -168,6 +171,15 @@ lattice_polygons = st.one_of(saturated_sets(), full_column_sets()).map(_polygon)
     lambda d: d is not None)
 separated = seeds.map(lambda seed: tuple(
     classify_points(s) for s in separated_pair(random.Random(seed))))
+# a small set beside a dilate of another: at a factor of 100 or more the
+# sum's box costs far over ``_BITS_PER_PRODUCT`` bits per product, so the
+# sum is kept as a set, with up to about 10^19 lattice points on its hull
+small_coords = st.integers(-4, 4)
+small_sets = st.lists(st.tuples(small_coords, small_coords), min_size=3, max_size=8).filter(
+    lambda pts: _polygon(pts) is not None).map(PointSet)
+dilated_pairs = st.builds(
+    lambda a, s, k: (a, PointSet((k * x, k * y) for x, y in s)),
+    small_sets, small_sets, st.integers(100, 10**18))
 
 
 class TestSumDecomposition:
@@ -207,6 +219,23 @@ class TestSumDecomposition:
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle_on_separated_pairs(self, pair):
         self._assert_matches_oracle(*pair)
+
+    @given(dilated_pairs)
+    @settings(max_examples=200, deadline=1000)
+    def test_set_path_on_far_apart_dilates(self, pair):
+        # the reference spans no lattice step of the hull: the sums' hull,
+        # the sums on the lines of its edges and the chain count of them
+        a, b = pair
+        d = sum_decomposition(classify_points(a), classify_points(b))
+        assert d.grid is None
+        sums = sums_by_set(a, b)
+        hull = convex_hull(sums)
+        edges = list(zip(hull, hull[1:] + hull[:1]))
+        boundary = {s for s in sums if any(orientation(p, q, s) == 0 for p, q in edges)}
+        assert len(boundary) == boundary_count(sums)
+        assert ((d.size, d.b, d.i, d.boundary, d.hull_vertices)
+                == (len(sums), len(boundary), len(sums) - len(boundary), boundary, hull))
+        assert check_sum_boundary(a, b)
 
 
 # each side of the density rule, forced, and the rule's own choice
