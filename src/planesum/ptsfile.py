@@ -4,22 +4,43 @@ One point per line: two signed decimal integers separated by whitespace.
 Lines whose first non-blank character is ``#`` are comments; blank lines are
 skipped. Duplicate points are dropped with a warning. Serialization emits
 the canonical (lexicographic) order, so parse(serialize(s)) == s.
+
+A text in the layout that serialization writes (one ``x y`` line per point,
+a single space, ``\n`` after every line, points strictly increasing) is
+converted in one pass of C-level calls. Every other text, and with it every
+``ParseError`` and duplicate warning, goes through the line-by-line loop.
+Files are read as UTF-8, with a leading byte-order mark skipped.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from itertools import islice, repeat
+from operator import lt
+
 from .errors import ParseError, token_column
 from .geometry import Point, PointSet
 
 _INT = re.compile(r"[+-]?\d+$")
 # a plain "x y" line; ``\s`` is the whitespace that ``str.split`` splits on
 _XY_LINE = re.compile(r"\s*([+-]?\d+)\s+([+-]?\d+)\s*")
+# the layout ``serialize_point_set`` writes, before its order is checked
+_CANONICAL = re.compile(r"(?:-?[0-9]+ -?[0-9]+\n)+")
 
 
 def parse_point_set(text: str, source: str = "<string>") -> PointSet:
-    """Parse point-set text; raise ParseError with line/column on bad input."""
+    """Parse point-set text; raise ParseError with line/column on bad input.
+
+    A text in the canonical layout whose points strictly increase is taken
+    as it stands, with no set and no sort. Any other text, duplicates and
+    errors included, is read line by line; only that loop warns or raises.
+    """
+    if _CANONICAL.fullmatch(text):
+        ints = iter(map(int, text.split()))
+        pts = tuple(map(tuple.__new__, repeat(Point), zip(ints, ints)))
+        if all(map(lt, pts, islice(pts, 1, None))):
+            return PointSet._sorted(pts)
     seen = set()  # the distinct points, as int tuples
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _XY_LINE.fullmatch(raw)
@@ -56,7 +77,7 @@ def parse_point_set(text: str, source: str = "<string>") -> PointSet:
 
 
 def load_point_set(path: str) -> PointSet:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_point_set(fh.read(), source=path)
 
 

@@ -92,25 +92,35 @@ def triangulate_explicit(points: Union[PointSet, Iterable[Coords]]) -> Triangula
         triangles = [Triangle(u, apex, w) for u, w in zip(line, line[1:])]
         lower, upper = [pts[0], apex], line + [apex]
 
+    new = tuple.__new__  # a Triangle without NamedTuple's Python-level __new__
     for p in pts[k + 1:]:
         x, y = p
-        # pop lower while p is strictly right of its last edge u -> w ...
+        # pop lower while p is strictly right of its last edge u -> w; the
+        # popped w's predecessor u is the next edge's end, so it carries over
         fan = []
+        w = lower[-1]
+        wx, wy = w
         while len(lower) > 1:
-            (ux, uy), (wx, wy) = lower[-2], lower[-1]
+            u = lower[-2]
+            ux, uy = u
             if (wx - ux) * (y - uy) >= (wy - uy) * (x - ux):
                 break
-            w = lower.pop()
-            fan.append(Triangle(lower[-1], p, w))
+            lower.pop()
+            fan.append(new(Triangle, (u, p, w)))
+            w, wx, wy = u, ux, uy
         fan.reverse()
         # ... and upper while p is strictly left of its last edge u -> w,
         # so right of the CCW edge w -> u; fan p to each edge in CCW order
+        w = upper[-1]
+        wx, wy = w
         while len(upper) > 1:
-            (ux, uy), (wx, wy) = upper[-2], upper[-1]
+            u = upper[-2]
+            ux, uy = u
             if (wx - ux) * (y - uy) <= (wy - uy) * (x - ux):
                 break
-            w = upper.pop()
-            fan.append(Triangle(w, p, upper[-1]))
+            upper.pop()
+            fan.append(new(Triangle, (w, p, u)))
+            w, wx, wy = u, ux, uy
         if not fan:
             raise AssertionError(f"point {tuple(p)} not strictly outside the fringe")
         triangles += fan

@@ -93,6 +93,14 @@ class TestOracle:
         assert code == 0
         assert capsys.readouterr().out.strip() == "euler=9 explicit=9 OK"
 
+    def test_leading_byte_order_mark(self, tmp_path, capsys):
+        # a UTF-8 BOM before the first point is not part of its first token
+        path = tmp_path / "bom.pts"
+        path.write_bytes(b"\xef\xbb\xbf0 0\n1 0\n0 1\n")
+        code = cli_dispatch(["oracle", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "euler=1 explicit=1 OK"
+
 
 class TestClassify:
     def test_boundary_only(self, pts, capsys):

@@ -45,13 +45,47 @@ _line = st.integers(min_value=0, max_value=19).flatmap(
 point_texts = st.tuples(st.lists(_line, max_size=12), st.sampled_from(["", "\n", "\r\n"])) \
     .map(lambda t: t[1].join(t[0]) + t[1])
 
+# Canonical text, as ``serialize_point_set`` writes it, with zero or one
+# perturbation that a one-pass reader of that layout must notice: two lines
+# swapped, a line repeated, a token respelled (``-0`` and ``0`` collide),
+# the final newline dropped, or CRLF line ends. Small coordinates make the
+# respelled tokens collide with other points.
+_canon_coords = st.one_of(st.integers(min_value=-2, max_value=2), coords)
+_PERTURBATIONS = ("none", "swap", "repeat", "respell", "no final newline", "crlf")
+
+
+@st.composite
+def canonical_texts(draw):
+    s = PointSet(draw(st.lists(st.tuples(_canon_coords, _canon_coords),
+                               min_size=1, max_size=30)))
+    lines = serialize_point_set(s).splitlines(keepends=True)
+    index = st.integers(min_value=0, max_value=len(lines) - 1)
+    kind = draw(st.sampled_from(_PERTURBATIONS))
+    if kind == "swap":
+        i, j = draw(index), draw(index)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "repeat":
+        lines.insert(draw(index), lines[draw(index)])
+    elif kind == "respell":
+        i = draw(index)
+        xy = lines[i].split()
+        xy[draw(st.integers(0, 1))] = draw(st.sampled_from(["+1", "007", "-0"]))
+        lines[i] = " ".join(xy) + "\n"
+    text = "".join(lines)
+    if kind == "no final newline":
+        text = text[:-1]
+    elif kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    return text
+
+
 _INT = re.compile(r"[+-]?\d+$")
 
 
 def _parse_per_token(text, source="<string>"):
-    """The parser before its one-regex fast path: every line is split into
-    tokens and each token is checked on its own. The reference the fast
-    path is held to."""
+    """The parser before its fast paths (one regex per line, one pass over a
+    canonical text): every line is split into tokens and each token is
+    checked on its own. The reference both fast paths are held to."""
     points = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -150,6 +184,11 @@ class TestParse:
     def test_matches_per_token_reference(self, text):
         assert _outcome(parse_point_set, text) == _outcome(_parse_per_token, text)
 
+    @given(canonical_texts())
+    @settings(max_examples=300)
+    def test_canonical_layout_matches_per_token_reference(self, text):
+        assert _outcome(parse_point_set, text) == _outcome(_parse_per_token, text)
+
     def test_error_message_carries_position(self):
         with pytest.raises(ParseError) as exc:
             parse_point_set("0 0\nbad line here\n", source="input.pts")
@@ -180,6 +219,11 @@ class TestFiles:
         path = tmp_path / "pts.pts"
         save_point_set(s, str(path))
         assert load_point_set(str(path)) == s
+
+    def test_load_skips_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.pts"
+        path.write_bytes(b"\xef\xbb\xbf0 0\n1 0\n0 1\n")
+        assert load_point_set(str(path)) == PointSet([(0, 0), (1, 0), (0, 1)])
 
     def test_load_reports_path_in_error(self, tmp_path):
         path = tmp_path / "bad.pts"

@@ -215,7 +215,10 @@ class TestExplicitTriangulation:
             with pytest.raises(CollinearInput):
                 triangulate_explicit(pts)
             return
-        assert triangulate_explicit(pts).triangles == expected
+        triangles = triangulate_explicit(pts).triangles
+        assert triangles == expected
+        # tuple equality would not see a wrong class
+        assert all(type(t) is Triangle for t in triangles)
 
     @given(point_lists, points)
     @settings(max_examples=60, deadline=None)
