@@ -16,13 +16,11 @@ leftover arguments are parsed by the whole tree.
 
 Exit codes: 0 success, 1 a check failed or a counterexample was found,
 2 usage or input errors, a path that cannot be read or written among them.
-PLANESUM_WORKERS overrides ``search --workers``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from typing import List, Optional, Sequence
@@ -80,14 +78,6 @@ def _split_multi(values: Optional[List[str]]) -> tuple:
 
 
 def _cmd_search(args) -> int:
-    workers = args.workers
-    env = os.environ.get("PLANESUM_WORKERS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            print(f"PLANESUM_WORKERS={env!r} is not an integer", file=sys.stderr)
-            return 2
     grid_w, grid_h = args.grid
     cfg = SearchConfig(
         grid_w=grid_w,
@@ -99,7 +89,7 @@ def _cmd_search(args) -> int:
         count=args.count,
         filters=_split_multi(args.filter),
         checks=_split_multi(args.check),
-        workers=workers,
+        workers=args.workers,
         symmetry=args.symmetry,
         report_path=args.report,
         checkpoint_path=args.checkpoint,

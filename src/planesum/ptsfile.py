@@ -5,10 +5,11 @@ Lines whose first non-blank character is ``#`` are comments; blank lines are
 skipped. Duplicate points are dropped with a warning. Serialization emits
 the canonical (lexicographic) order, so parse(serialize(s)) == s.
 
-A text in the layout that serialization writes (one ``x y`` line per point,
-a single space, ``\n`` after every line, points strictly increasing) is
-converted in one pass of C-level calls. Every other text, and with it every
-``ParseError`` and duplicate warning, goes through the line-by-line loop.
+A text takes one of two paths. One in the layout that serialization writes
+(one ``x y`` line per point, a single space, ``\n`` after every line,
+points strictly increasing) is converted in one pass of C-level calls.
+Every other text, and with it every ``ParseError`` and duplicate warning,
+goes through the line-by-line loop, which reads each line token by token.
 Files are read as UTF-8, with a leading byte-order mark skipped.
 """
 
@@ -23,8 +24,6 @@ from .errors import ParseError, token_column
 from .geometry import Point, PointSet
 
 _INT = re.compile(r"[+-]?\d+$")
-# a plain "x y" line; ``\s`` is the whitespace that ``str.split`` splits on
-_XY_LINE = re.compile(r"\s*([+-]?\d+)\s+([+-]?\d+)\s*")
 # the layout ``serialize_point_set`` writes, before its order is checked
 _CANONICAL = re.compile(r"(?:-?[0-9]+ -?[0-9]+\n)+")
 
@@ -43,13 +42,6 @@ def parse_point_set(text: str, source: str = "<string>") -> PointSet:
             return PointSet._sorted(pts)
     seen = set()  # the distinct points, as int tuples
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _XY_LINE.fullmatch(raw)
-        if m is not None:
-            p = (int(m[1]), int(m[2]))
-            if p not in seen:
-                seen.add(p)
-                continue
-        # blank, comment, duplicate or malformed: diagnosed token by token
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -364,16 +364,20 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 def _read_state(state_path: str, fingerprint: str) -> Optional[dict]:
     """The checkpoint object at the path, or None where there is none.
 
-    Raises ResumeMismatch naming the file when the file holds no JSON
-    object, or when the object's ``config`` is ``fingerprint`` but its other
-    fields are not those ``run_shard`` writes: ``visited`` and ``records``
-    non-negative ints, ``complete`` a bool and, for a complete shard, a
-    ``tally`` object with ``ReportTally``'s fields.
+    Raises ResumeMismatch naming the file when the file is not JSON text
+    (a ``JSONDecodeError`` or ``UnicodeDecodeError``, both ``ValueError``s)
+    or holds no JSON object, or when the object's ``config`` is
+    ``fingerprint`` but its other fields are not those ``run_shard`` writes:
+    ``visited`` and ``records`` non-negative ints, ``complete`` a bool and,
+    for a complete shard, a ``tally`` object with ``ReportTally``'s fields.
     """
     if not os.path.exists(state_path):
         return None
     with open(state_path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
+        try:
+            state = json.load(fh)
+        except ValueError as exc:
+            raise ResumeMismatch(f"checkpoint {state_path} is not JSON: {exc}") from None
     if not isinstance(state, dict):
         raise ResumeMismatch(f"checkpoint {state_path} is not a JSON object")
     if state.get("config") == fingerprint and not _state_fields_ok(state):
@@ -407,8 +411,6 @@ def _state_fields_ok(state: dict) -> bool:
 
 
 _CHECKPOINT_EVERY = 512
-
-_UNSEEN = object()
 
 
 def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
@@ -467,15 +469,13 @@ def run_shard(cfg: SearchConfig, shard: int) -> ReportTally:
     # the per-set filters reject, which is decided in integers; under
     # dihedral symmetry several keys share one canonical form, hence decomp
     decomp = functools.cache(classify_points)
-    table: Dict[tuple, Optional[HullDecomposition]] = {}
     set_filtered = any(f in _SET_FILTERS for f in cfg.filters)
 
+    @functools.cache
     def summand(key: tuple) -> Optional[HullDecomposition]:
-        d = table.get(key, _UNSEEN)
-        if d is _UNSEEN:
-            passes = not set_filtered or _passes_set_filters(cfg, interior_count(key))
-            d = table[key] = decomp(_canonical(key, cfg.symmetry)) if passes else None
-        return d
+        if set_filtered and not _passes_set_filters(cfg, interior_count(key)):
+            return None
+        return decomp(_canonical(key, cfg.symmetry))
 
     walks: dict = {}
     set_id = functools.cache(serialize_set_id)

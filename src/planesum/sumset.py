@@ -24,12 +24,14 @@ of a separated pair, both keep a set of the |A||B| sums instead.
 On the grid the hull walk depends on the summands' hull shapes alone: the
 edge tables of A and B and the field width w fix the grid's column height,
 its cell count and the cell of every lattice point on the sum's hull,
-counted from the box corner. A caller that sums many pairs passes a dict
-``walks`` to ``sum_decomposition``, in which each (edge table of A, edge
-table of B, w) keeps ``_grid``'s layout and the walk as one mask of those
-cells. A pair then costs the product of the two summands' packed ints,
-which ``HullDecomposition.packed`` memoises per set and layout, one AND
-and two popcounts.
+counted from the box corner. ``sum_decomposition`` keeps in a dict
+``walks``, per (edge table of A, edge table of B, w), ``_grid``'s layout
+and the walk as one mask of those cells; a caller that sums many pairs
+passes one dict to every call. A pair that finds its entry reads it
+whatever its |A||B|, since the grid splits A + B as the set does, and
+costs the product of the two summands' packed ints, which
+``HullDecomposition.packed`` memoises per set and layout, one AND and two
+popcounts.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
         # which compares plain tuples faster
         sums = sorted(_sums(pa, pb))
     else:
-        h, w, _, ones, fill = grid
+        h, w, ones, fill = grid
         bits = (_pack(pa, a_box, h, w) * _pack(pb, b_box, h, w) + fill) >> w - 1 & ones
         sums = _decode(bits, w, h, a_box, b_box)
     return PointSet._sorted(map(Point._make, sums))
@@ -74,7 +76,7 @@ _ZERO = bytes.maketrans(b"0", b"\0")  # '0' to a false byte; '1' stays true
 
 
 def _grid(a_box: tuple, b_box: tuple, na: int, nb: int) -> Optional[tuple]:
-    """(h, w, w cells, ones, fill) for the packed grid of the bounding box
+    """(h, w, ones, fill) for the packed grid of the bounding box
     of A + B, or None when that grid costs more than ``_BITS_PER_PRODUCT``
     bits per product |A||B| and the sum is kept as a set.
 
@@ -97,7 +99,7 @@ def _grid(a_box: tuple, b_box: tuple, na: int, nb: int) -> Optional[tuple]:
     if size > _BITS_PER_PRODUCT * na * nb:
         return None
     ones = ((1 << size) - 1) // ((1 << w) - 1)
-    return h, w, size, ones, ones * ((1 << w - 1) - 1)
+    return h, w, ones, ones * ((1 << w - 1) - 1)
 
 
 def _decode(bits: int, w: int, h: int, a_box: tuple, b_box: tuple,
@@ -155,25 +157,22 @@ def sum_decomposition(da: HullDecomposition, db: HullDecomposition,
     (edge table of A, edge table of B, field width), ``_grid``'s layout and
     a mask with a 1 at bit w k for each lattice point k on the hull of
     A + B, whether in A + B or not. Translating A or B translates the sum's
-    box and hull alike, so the two edge tables and w fix the entry. Without
-    a memo each grid call walks the hull afresh; a set sum walks nothing.
+    box and hull alike, so the two edge tables and w fix the entry, and a
+    hit reads it whatever the pair's |A||B|. Without a memo each grid call
+    walks the hull afresh; a set sum walks nothing.
     """
-    na, nb = da.size, db.size
-    key = (da.edge_table, db.edge_table, min(na, nb).bit_length() + 1)
-    walk = None if walks is None else walks.get(key)
-    # pairs that share an entry differ in |A||B|, so a hit checks the rule
-    # again, and a pair too sparse for the entry takes the set path as
-    # ``_grid`` would send it there
-    if walk is None or walk[2] > _BITS_PER_PRODUCT * na * nb:
-        grid = _grid(da.box, db.box, na, nb)
+    if walks is None:
+        walks = {}
+    key = (da.edge_table, db.edge_table, min(da.size, db.size).bit_length() + 1)
+    walk = walks.get(key)
+    if walk is None:
+        grid = _grid(da.box, db.box, da.size, db.size)
         if grid is None:
             return _set_sum(da, db)
         h, w = grid[:2]
         corner = da.box[0] + db.box[0], da.box[1] + db.box[1]
-        walk = (*grid, _pack(_hull_walk(da, db), corner, h, w))
-        if walks is not None:
-            walks[key] = walk
-    h, w, _, ones, fill, hull = walk
+        walk = walks[key] = (*grid, _pack(_hull_walk(da, db), corner, h, w))
+    h, w, ones, fill, hull = walk
     bits = (da.packed(h, w) * db.packed(h, w) + fill) >> w - 1 & ones
     boundary = bits & hull
     return SumDecomposition(bits.bit_count(), boundary.bit_count(), (boundary, w, h),

@@ -138,20 +138,6 @@ class TestSearch:
         assert "check_failures=0" in out
         assert report.exists()
 
-    def test_env_overrides_workers(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PLANESUM_WORKERS", "2")
-        report = tmp_path / "out.txt"
-        code = cli_dispatch(["search", "--grid", "2x2", "--report", str(report)])
-        assert code == 0
-        assert "pairs=15" in capsys.readouterr().out
-
-    def test_env_must_be_integer(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PLANESUM_WORKERS", "many")
-        code = cli_dispatch(["search", "--grid", "2x2",
-                             "--report", str(tmp_path / "out.txt")])
-        assert code == 2
-        assert "PLANESUM_WORKERS" in capsys.readouterr().err
-
     def test_bad_grid_syntax(self, capsys):
         code = cli_dispatch(["search", "--grid", "3by3"])
         assert code == 2

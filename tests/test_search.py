@@ -31,6 +31,7 @@ from planesum import (
     run_search,
     separated_pair,
 )
+from planesum.cli import cli_dispatch
 from planesum.search import run_shard, serialize_set_id
 from planesum.sumset import canonical_translate
 
@@ -661,6 +662,24 @@ class TestRunSearch:
                        "complete": False}, fh)
         with pytest.raises(ResumeMismatch):
             run_search(cfg)
+
+    @pytest.mark.parametrize("content", [b'{"config": ', b"garbage", b"\xff\xfe"],
+                             ids=["truncated", "not-json", "not-utf8"])
+    def test_checkpoint_that_is_not_json_names_its_file(self, tmp_path, capsys, content):
+        # a decode error alone does not say which file to remove
+        cfg = SearchConfig(grid_w=3, grid_h=3, max_pts=4,
+                           report_path=str(tmp_path / "r.txt")).normalized()
+        _, state_path = search_mod._shard_paths(cfg, 0)
+        with open(state_path, "wb") as fh:
+            fh.write(content)
+        with pytest.raises(ResumeMismatch, match=f"checkpoint {state_path} is not JSON"):
+            run_search(cfg)
+        code = cli_dispatch(["search", "--grid", "3x3", "--max-pts", "4",
+                             "--report", cfg.report_path])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: ResumeMismatch: checkpoint {state_path} is not JSON: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.txt.ckpt.shard000.json"]
 
     def test_stale_shards_of_another_worker_count(self, tmp_path):
         old = SearchConfig(grid_w=3, grid_h=2, workers=4, checks=("freiman",),

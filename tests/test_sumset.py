@@ -381,48 +381,56 @@ class TestWalkMemo:
         if path == "set":
             assert not walks
 
-    def test_sparser_pair_on_a_shared_entry_keeps_the_set(self):
-        # both pairs read one entry: the same square hulls and w = 5; the sum's
+    def test_sparser_pair_reads_the_shared_entry(self):
+        # both pairs have one key: the same square hulls and w = 5; the sum's
         # 7 x 7 grid has 245 bits, under 2 per product for 15 x 15 points and
-        # over it for 8 x 8
+        # over it for 8 x 8, which a fresh call keeps as a set but which reads
+        # the entry the denser pair stored
         rng = random.Random(8)
         square = [(0, 0), (3, 0), (3, 3), (0, 3)]
         walks = {}
         with mock.patch.object(sumset, "_BITS_PER_PRODUCT", 2):
-            for n, packed in ((15, True), (8, False)):
+            for n, fresh_packed in ((15, True), (8, False)):
                 a, b = (_with_hull(square, rng, n - 4) for _ in range(2))
+                assert _kept_as_set(a, b) != fresh_packed
                 d = sum_decomposition(classify_points(a), classify_points(b), walks)
                 sums = sums_by_set(a.points, b.points)
                 ref = classify_points(sums)
-                assert (d.grid is not None) == packed
+                assert d.grid is not None
                 assert ((d.size, d.b, d.i, d.boundary, d.hull_vertices)
                         == (len(sums), ref.b, ref.i, set(ref.boundary), ref.hull_vertices))
         assert len(walks) == 1
 
     def test_rule_at_its_boundary_fresh_and_on_a_memo_hit(self):
-        # at exactly w cells / (|A||B|) bits per product the pair stays on
-        # the grid, and one step below it takes the set path, whether its
-        # walk is fresh or read from the memo: ``_grid`` and the memo's
-        # re-check spell one rule
+        # at exactly w cells / (|A||B|) bits per product a fresh call stays on
+        # the grid, and one step below it takes the set path; a hit reads the
+        # stored entry at either budget, since the grid splits A + B as the
+        # set does
         rng = random.Random(23)
         a, b = (_with_hull([(0, 0), (4, 0), (0, 4)], rng, k) for k in (3, 6))
         da, db = classify_points(a), classify_points(b)
         grid = sumset._grid(da.box, db.box, da.size, db.size)
         assert grid is not None
+        h, w = grid[:2]
+        bits_needed = w * (da.box[2] - da.box[0] + db.box[2] - db.box[0] + 1) * h
         products = da.size * db.size
         sums = sums_by_set(a.points, b.points)
         ref = classify_points(sums)
         walks = {}
         sum_decomposition(da, db, walks)
         (entry,) = walks.values()
-        for bits, packed in ((Fraction(grid[2], products), True),
-                             (Fraction(grid[2] - 1, products), False)):
+        for bits, packed in ((Fraction(bits_needed, products), True),
+                             (Fraction(bits_needed - 1, products), False)):
             with mock.patch.object(sumset, "_BITS_PER_PRODUCT", bits):
                 assert _kept_as_set(a, b) != packed
-                for d in (sum_decomposition(da, db), sum_decomposition(da, db, walks)):
-                    assert (d.grid is not None) == packed
+                fresh = sum_decomposition(da, db)
+                assert (fresh.grid is not None) == packed
+                with mock.patch.object(sumset, "_hull_walk", side_effect=AssertionError):
+                    hit = sum_decomposition(da, db, walks)
+                assert hit.grid is not None
+                for d in (fresh, hit):
                     assert (d.size, d.b, d.boundary) == (len(sums), ref.b, set(ref.boundary))
-        # each hit read the entry the first walk stored and walked nothing again
+        # each hit read the entry the first walk stored
         (hit,) = walks.values()
         assert hit is entry
 
